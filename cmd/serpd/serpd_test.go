@@ -140,7 +140,7 @@ func TestMetricszAndPprofEndpoints(t *testing.T) {
 		}
 	}
 
-	pprofSrv, pprofAddr, err := startPprof("127.0.0.1:0")
+	pprofSrv, pprofAddr, err := telemetry.ServePprof("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@
 //	    [-max-inflight 0] [-queue-depth 0] [-admission-service-time 1s]
 //	    [-verbose] [-log-format text|json] [-pprof-addr 127.0.0.1:6060]
 //
-// Every node of one cluster — router and shards — must share -seed (and
-// -ring-replicas, when overridden): the shards regenerate the identical
-// deterministic corpus from it, and the router's engine personalizes over
-// the same world.
+// Every node of one cluster — router and shards — must share -seed, and
+// the shards their serpd -virtual-nodes when overridden: the shards
+// regenerate the identical deterministic corpus from it, and the router's
+// engine personalizes over the same world.
 //
 // Degradation is graded: with -replicas R > 1 each shard leg fails over
 // deterministically across its replica set (and optionally hedges
@@ -99,7 +99,7 @@ func main() {
 		"metrics", srv.URL()+"/metricsz")
 
 	if opts.PprofAddr != "" {
-		pprofSrv, pprofAddr, perr := startPprof(opts.PprofAddr)
+		pprofSrv, pprofAddr, perr := telemetry.ServePprof(opts.PprofAddr)
 		if perr != nil {
 			logger.Error("pprof startup failed", "err", perr)
 			os.Exit(1)

@@ -23,6 +23,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/geo"
 	"geoserp/internal/httpheader"
 	"geoserp/internal/serp"
@@ -137,18 +138,6 @@ type Fingerprint struct {
 	ViewportH      int
 }
 
-// Firefox38Desktop returns a desktop fingerprint of the study's era. The
-// desktop surface ignores the Geolocation override — its only location
-// signal is the IP — matching the constraint prior work operated under.
-func Firefox38Desktop() Fingerprint {
-	return Fingerprint{
-		UserAgent:      "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0",
-		AcceptLanguage: "en-US",
-		ViewportW:      1366,
-		ViewportH:      768,
-	}
-}
-
 // IOSSafari8 returns the fingerprint the study used: Safari 8 on iOS.
 func IOSSafari8() Fingerprint {
 	return Fingerprint{
@@ -172,14 +161,12 @@ type Browser struct {
 	pinnedDC  string
 	fetches   int
 	retries   int
-	lastDC    string
 	transport http.RoundTripper
 
 	// traceID, when set, is sent as the X-Trace-Id header on every
 	// fetch so the server's access log and the stored page record can
 	// be joined back to this request.
-	traceID     string
-	lastTraceID string
+	traceID string
 
 	// Telemetry counters, shared with the crawler's registry when set
 	// (nil without WithTelemetry — the zero-cost default).
@@ -214,7 +201,7 @@ type Browser struct {
 	// disables). Browsers are single-threaded, so no locking.
 	brkThreshold int
 	brkCooldown  time.Duration
-	breakers     map[string]*breaker
+	breakers     map[string]*breaker.Breaker
 
 	// optErr records the first invalid Option; New reports it instead of
 	// silently running with a half-applied policy.
@@ -223,11 +210,6 @@ type Browser struct {
 
 // Option configures a Browser.
 type Option func(*Browser)
-
-// WithFingerprint overrides the default iOS Safari 8 fingerprint.
-func WithFingerprint(fp Fingerprint) Option {
-	return func(b *Browser) { b.fp = fp }
-}
 
 // WithSourceIP attributes the browser's traffic to a machine address (sent
 // as X-Forwarded-For), modelling which of the crawl machines the script
@@ -345,7 +327,7 @@ func WithDeadline(d time.Duration) Option {
 // fetches then fail fast for cooldown, after which a single half-open
 // probe decides between closing it and re-opening. All timing is on the
 // campaign clock, so same-seed chaos campaigns replay identical breaker
-// timelines.
+// timelines. The state machine is internal/breaker's.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
 	return func(b *Browser) {
 		if threshold <= 0 {
@@ -419,10 +401,6 @@ func New(baseURL string, opts ...Option) (*Browser, error) {
 // subsequent searches present it to the engine.
 func (b *Browser) OverrideGeolocation(pt geo.Point) { p := pt; b.geo = &p }
 
-// ClearGeolocation removes the override; searches then carry no ll=
-// parameter and the engine falls back to IP geolocation.
-func (b *Browser) ClearGeolocation() { b.geo = nil }
-
 // ClearCookies empties the cookie jar, as the study's script did after
 // every query to prevent the engine "remembering" prior location or
 // searches.
@@ -445,18 +423,10 @@ func (b *Browser) SourceIP() string { return b.sourceIP }
 // Retries returns how many failed fetches were retried.
 func (b *Browser) Retries() int { return b.retries }
 
-// LastDatacenter reports the replica that served the previous page (from
-// the X-Served-By header).
-func (b *Browser) LastDatacenter() string { return b.lastDC }
-
 // SetTraceID installs the trace ID sent as X-Trace-Id on subsequent
 // fetches ("" stops sending the header). The crawler mints one per query
 // before each fetch.
 func (b *Browser) SetTraceID(id string) { b.traceID = id }
-
-// LastTraceID reports the trace ID the server confirmed on the previous
-// page ("" when the request was untraced).
-func (b *Browser) LastTraceID() string { return b.lastTraceID }
 
 // Search executes a query and parses the first page of results, retrying
 // transient failures per the WithRetry policy.
@@ -504,7 +474,7 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 			return nil, err
 		}
 		if brk != nil {
-			if wait, ok := brk.allow(b.clock.Now()); !ok {
+			if wait, ok := brk.Allow(b.clock.Now()); !ok {
 				oerr := withRetryAfter(markTransient(fmt.Errorf("%w (retry in %s)", ErrCircuitOpen, wait)), wait)
 				if b.maxAttempts <= 1 {
 					// No retry policy: fail fast rather than block a
@@ -530,7 +500,7 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		page, err := b.fetchOnce(ctx, term, attempt, deadline)
 		if err == nil {
 			if brk != nil {
-				brk.success()
+				brk.Success()
 			}
 			if span != nil {
 				span.SetAttr("outcome", "ok")
@@ -544,11 +514,16 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 			sheds++
 		} else {
 			failures++
-			// Explicit pushback (429) does not trip the breaker — the
-			// server is alive and asked for patience; unexplained transient
-			// failures do.
-			if brk != nil && IsTransient(err) && !errors.Is(err, ErrRateLimited) {
-				brk.failure(b.clock.Now())
+		}
+		if brk != nil {
+			// Only unexplained transient failures count against the
+			// endpoint. Explicit pushback (429, 503 shed) — the server is
+			// alive and asked for patience — and errors that are not the
+			// endpoint's fault hand back a half-open probe slot instead.
+			if !shed && IsTransient(err) && !errors.Is(err, ErrRateLimited) {
+				brk.Failure(b.clock.Now())
+			} else {
+				brk.Pushback()
 			}
 		}
 		terminal := ctx.Err() != nil || !IsTransient(err) || b.maxAttempts <= 1 ||
@@ -612,19 +587,20 @@ func (b *Browser) sleepOn(held simclock.Holder, d time.Duration) {
 
 // breakerFor lazily builds the circuit breaker guarding endpoint (nil when
 // WithBreaker is off).
-func (b *Browser) breakerFor(endpoint string) *breaker {
+func (b *Browser) breakerFor(endpoint string) *breaker.Breaker {
 	if b.brkThreshold <= 0 {
 		return nil
 	}
 	if b.breakers == nil {
-		b.breakers = make(map[string]*breaker)
+		b.breakers = make(map[string]*breaker.Breaker)
 	}
 	br := b.breakers[endpoint]
 	if br == nil {
-		br = newBreaker(b.brkThreshold, b.brkCooldown)
+		var hook func(string)
 		if b.breakerCtr != nil {
-			br.onTransition = func(label string) { b.breakerCtr.With(label).Inc() }
+			hook = func(label string) { b.breakerCtr.With(label).Inc() }
 		}
+		br = breaker.New(b.brkThreshold, b.brkCooldown, hook)
 		b.breakers[endpoint] = br
 	}
 	return br
@@ -641,7 +617,7 @@ func (b *Browser) BreakerState() string {
 	if br == nil {
 		return "closed"
 	}
-	return br.stateName()
+	return br.State()
 }
 
 // fetchOnce performs a single fetch+parse. attempt is the 1-based try
@@ -738,24 +714,13 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	if b.fetchCtr != nil {
 		b.fetchCtr.Inc()
 	}
-	b.lastDC = resp.Header.Get(httpheader.ServedBy)
 	// The HTML surface does not carry the trace; the header echo does.
 	// Attach it to the parsed record so storage keeps the join key.
-	b.lastTraceID = resp.Header.Get(httpheader.TraceID)
-	if b.lastTraceID == "" {
-		b.lastTraceID = b.traceID
+	page.TraceID = resp.Header.Get(httpheader.TraceID)
+	if page.TraceID == "" {
+		page.TraceID = b.traceID
 	}
-	page.TraceID = b.lastTraceID
 	return page, nil
-}
-
-// SearchAndReset performs the full treatment protocol of the study's
-// script: run the query, save the page, then clear cookies so the next
-// query starts from a clean browser.
-func (b *Browser) SearchAndReset(term string) (*serp.Page, error) {
-	page, err := b.Search(term)
-	b.ClearCookies()
-	return page, err
 }
 
 // errAttr renders err for a span attribute. URL errors are unwrapped to

@@ -51,7 +51,7 @@ func TestBrowserSearch(t *testing.T) {
 	if b.Fetches() != 1 {
 		t.Fatalf("fetches = %d", b.Fetches())
 	}
-	if b.LastDatacenter() == "" {
+	if page.Datacenter == "" {
 		t.Fatal("datacenter not recorded")
 	}
 }
@@ -73,21 +73,20 @@ func TestBrowserValidation(t *testing.T) {
 func TestBrowserGeolocationOverrideLifecycle(t *testing.T) {
 	srv := testServer(t, nil)
 	b, _ := New(srv.URL, WithSourceIP("10.5.0.1"))
-	b.OverrideGeolocation(cleveland)
 	p1, err := b.Search("Gay Marriage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(p1.Location, "41.4993") {
-		t.Fatalf("override not applied: %q", p1.Location)
+	if strings.HasPrefix(p1.Location, "41.4993") {
+		t.Fatalf("page located at the spoofed coordinate before any override: %q", p1.Location)
 	}
-	b.ClearGeolocation()
+	b.OverrideGeolocation(cleveland)
 	p2, err := b.Search("Gay Marriage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.HasPrefix(p2.Location, "41.4993") {
-		t.Fatalf("override survived ClearGeolocation: %q", p2.Location)
+	if !strings.HasPrefix(p2.Location, "41.4993") {
+		t.Fatalf("override not applied: %q", p2.Location)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestBrowserCookiePersistenceAndClear(t *testing.T) {
 	})
 	fresh, _ := New(srv.URL, WithSourceIP("10.5.0.9"))
 	fresh.OverrideGeolocation(cleveland)
-	baselinePage, err := fresh.SearchAndReset("Coffee")
+	baselinePage, err := fresh.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +154,12 @@ func TestBrowserPinnedDatacenter(t *testing.T) {
 	srv := testServer(t, nil)
 	b, _ := New(srv.URL, WithPinnedDatacenter("dc-2"))
 	b.OverrideGeolocation(cleveland)
-	if _, err := b.Search("Coffee"); err != nil {
+	page, err := b.Search("Coffee")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.LastDatacenter() != "dc-2" {
-		t.Fatalf("served by %q, want dc-2", b.LastDatacenter())
+	if page.Datacenter != "dc-2" {
+		t.Fatalf("served by %q, want dc-2", page.Datacenter)
 	}
 }
 
@@ -187,7 +187,8 @@ func TestBrowserFingerprintSent(t *testing.T) {
 		t.Fatalf("xff = %q", gotXFF)
 	}
 	custom := Fingerprint{UserAgent: "TestBot/1.0", AcceptLanguage: "de-DE"}
-	b2, _ := New(probe.URL, WithFingerprint(custom))
+	b2, _ := New(probe.URL)
+	b2.fp = custom
 	b2.Search("x")
 	if gotUA != "TestBot/1.0" || gotLang != "de-DE" {
 		t.Fatalf("custom fingerprint not sent: %q %q", gotUA, gotLang)
@@ -230,18 +231,25 @@ func TestDesktopFingerprintIgnoresGeolocation(t *testing.T) {
 		cfg.ReplicaSkew = 0
 		cfg.MapsCardProb = 1
 	})
-	b, err := New(srv.URL, WithFingerprint(Firefox38Desktop()), WithSourceIP("10.6.0.1"))
+	b, err := New(srv.URL, WithSourceIP("10.6.0.1"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	b.fp = Fingerprint{
+		UserAgent:      "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0",
+		AcceptLanguage: "en-US",
+		ViewportW:      1366,
+		ViewportH:      768,
 	}
 	b.OverrideGeolocation(cleveland)
-	p1, err := b.SearchAndReset("Coffee")
+	p1, err := b.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.ClearCookies()
 	losAngeles := geo.Point{Lat: 34.0522, Lon: -118.2437}
 	b.OverrideGeolocation(losAngeles)
-	p2, err := b.SearchAndReset("Coffee")
+	p2, err := b.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +266,13 @@ func TestDesktopFingerprintIgnoresGeolocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.OverrideGeolocation(cleveland)
-	m1, err := m.SearchAndReset("Coffee")
+	m1, err := m.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.ClearCookies()
 	m.OverrideGeolocation(losAngeles)
-	m2, err := m.SearchAndReset("Coffee")
+	m2, err := m.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}

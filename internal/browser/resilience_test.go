@@ -200,54 +200,61 @@ func TestBodyExactlyAtCapIsAccepted(t *testing.T) {
 	}
 }
 
+// TestBreakerStateMachine drives the breaker a WithBreaker browser guards
+// its search endpoint with, step by step, and checks what the browser
+// reports for it: BreakerState and the transition counter.
 func TestBreakerStateMachine(t *testing.T) {
-	var seq []string
-	br := newBreaker(2, time.Minute)
-	br.onTransition = func(label string) { seq = append(seq, label) }
+	reg := telemetry.NewRegistry()
+	b, err := New("http://search.invalid", WithBreaker(2, time.Minute), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := b.breakerFor(b.base.Host + "/search")
+	transitions := reg.CounterVec("browser_breaker_transitions_total", "", "transition")
 	now := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 
-	if _, ok := br.allow(now); !ok {
+	if _, ok := br.Allow(now); !ok {
 		t.Fatal("new breaker refused traffic")
 	}
 	// A success between failures resets the consecutive-failure streak.
-	br.failure(now)
-	br.success()
-	br.failure(now)
-	if br.stateName() != "closed" {
-		t.Fatalf("state = %s after a broken streak, want closed", br.stateName())
+	br.Failure(now)
+	br.Success()
+	br.Failure(now)
+	if b.BreakerState() != "closed" {
+		t.Fatalf("state = %s after a broken streak, want closed", b.BreakerState())
 	}
-	br.failure(now)
-	if br.stateName() != "open" {
-		t.Fatalf("state = %s after %d consecutive failures, want open", br.stateName(), 2)
+	br.Failure(now)
+	if b.BreakerState() != "open" {
+		t.Fatalf("state = %s after %d consecutive failures, want open", b.BreakerState(), 2)
 	}
 	// Open: traffic fails fast with the remaining cooldown.
-	wait, ok := br.allow(now.Add(20 * time.Second))
+	wait, ok := br.Allow(now.Add(20 * time.Second))
 	if ok || wait != 40*time.Second {
 		t.Fatalf("allow mid-cooldown = (%s, %v), want (40s, false)", wait, ok)
 	}
 	// Cooldown elapsed: a single half-open probe is admitted.
-	if _, ok := br.allow(now.Add(time.Minute)); !ok {
+	if _, ok := br.Allow(now.Add(time.Minute)); !ok {
 		t.Fatal("probe refused after the cooldown elapsed")
 	}
-	if br.stateName() != "half-open" {
-		t.Fatalf("state = %s, want half-open", br.stateName())
+	if b.BreakerState() != "half-open" {
+		t.Fatalf("state = %s, want half-open", b.BreakerState())
 	}
 	// A failing probe reopens and restarts the cooldown from its instant.
-	br.failure(now.Add(time.Minute))
-	if _, ok := br.allow(now.Add(90 * time.Second)); ok {
+	br.Failure(now.Add(time.Minute))
+	if _, ok := br.Allow(now.Add(90 * time.Second)); ok {
 		t.Fatal("reopened breaker admitted traffic mid-cooldown")
 	}
-	if _, ok := br.allow(now.Add(2 * time.Minute)); !ok {
+	if _, ok := br.Allow(now.Add(2 * time.Minute)); !ok {
 		t.Fatal("second probe refused")
 	}
 	// A succeeding probe closes the breaker for good.
-	br.success()
-	if br.stateName() != "closed" {
-		t.Fatalf("state = %s after a successful probe, want closed", br.stateName())
+	br.Success()
+	if b.BreakerState() != "closed" {
+		t.Fatalf("state = %s after a successful probe, want closed", b.BreakerState())
 	}
-	want := []string{"open", "half_open", "reopen", "half_open", "close"}
-	if fmt.Sprint(seq) != fmt.Sprint(want) {
-		t.Fatalf("transitions = %v, want %v", seq, want)
+	want := map[string]uint64{"open": 1, "half_open": 2, "reopen": 1, "close": 1}
+	if got := transitions.Values(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("transitions = %v, want %v", got, want)
 	}
 }
 
@@ -278,13 +285,15 @@ func TestBreakerOpensFailsFastAndRecloses(t *testing.T) {
 	if b.BreakerState() != "open" {
 		t.Fatalf("state = %s after threshold failures, want open", b.BreakerState())
 	}
-	// Open: fail fast without touching the wire, naming the cooldown.
+	// Open: from the instant after the trip, fail fast without touching
+	// the wire, naming the remaining cooldown.
+	clk.Advance(time.Second)
 	_, serr := b.Search("x")
 	if !errors.Is(serr, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", serr)
 	}
-	if ra, ok := RetryAfter(serr); !ok || ra != time.Minute {
-		t.Fatalf("RetryAfter = (%s, %v), want the full cooldown", ra, ok)
+	if ra, ok := RetryAfter(serr); !ok || ra != 59*time.Second {
+		t.Fatalf("RetryAfter = (%s, %v), want the remaining 59s of cooldown", ra, ok)
 	}
 	if got := count.Load(); got != 2 {
 		t.Fatalf("open breaker let a request through: %d requests", got)
@@ -335,6 +344,59 @@ func TestPushbackDoesNotTripBreaker(t *testing.T) {
 			t.Fatalf("status %d tripped the breaker", status)
 		}
 		srv.Close()
+	}
+}
+
+func TestHalfOpenPushbackFreesProbeSlot(t *testing.T) {
+	// A half-open probe that draws explicit pushback (a 429, or a 503
+	// shed) must hand its probe slot back: the next Search after the
+	// Retry-After reaches the server instead of failing fast with
+	// ErrCircuitOpen.
+	for _, status := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(http.StatusText(status), func(t *testing.T) {
+			var answer atomic.Int64
+			var count atomic.Int64
+			answer.Store(http.StatusInternalServerError)
+			ok := okHandler(t)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				count.Add(1)
+				switch code := int(answer.Load()); code {
+				case http.StatusOK:
+					ok.ServeHTTP(w, r)
+				default:
+					w.Header().Set("Retry-After", "5")
+					http.Error(w, "no", code)
+				}
+			}))
+			defer srv.Close()
+			clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+			b, err := New(srv.URL, WithBreaker(1, time.Minute), WithShedRetries(0), WithClock(clk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, serr := b.Search("x"); serr == nil || b.BreakerState() != "open" {
+				t.Fatalf("500 did not trip the breaker: err=%v state=%s", serr, b.BreakerState())
+			}
+			clk.Advance(time.Minute)
+			answer.Store(int64(status))
+			if _, serr := b.Search("x"); serr == nil || errors.Is(serr, ErrCircuitOpen) {
+				t.Fatalf("half-open probe err = %v, want the server's %d", serr, status)
+			}
+			if b.BreakerState() != "half-open" {
+				t.Fatalf("state = %s after a pushed-back probe, want half-open", b.BreakerState())
+			}
+			clk.Advance(5 * time.Second)
+			answer.Store(http.StatusOK)
+			if _, serr := b.Search("x"); serr != nil {
+				t.Fatalf("search after Retry-After: %v", serr)
+			}
+			if got := count.Load(); got != 3 {
+				t.Fatalf("server saw %d requests, want 3", got)
+			}
+			if b.BreakerState() != "closed" {
+				t.Fatalf("state = %s after a successful probe, want closed", b.BreakerState())
+			}
+		})
 	}
 }
 

@@ -374,15 +374,10 @@ type fetchResult struct {
 	retries int
 }
 
-// RunPhase executes one phase and returns every captured observation,
-// sorted by (day, granularity, term, location, role) for deterministic
-// downstream processing.
-func (c *Crawler) RunPhase(p Phase) ([]storage.Observation, error) {
-	return c.RunPhaseContext(context.Background(), p)
-}
-
-// RunPhaseContext is RunPhase with cancellation: the context is checked at
-// every term boundary, so a cancelled multi-day campaign stops within one
+// RunPhaseContext executes one phase and returns every captured
+// observation, sorted by (day, granularity, term, location, role) for
+// deterministic downstream processing. The context is checked at every
+// term boundary, so a cancelled multi-day campaign stops within one
 // lock-step sweep (plus its inter-term wait on a wall clock).
 func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Observation, error) {
 	if p.Days <= 0 {
@@ -575,9 +570,16 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 	// Hold the virtual clock per worker from *before* launch: the driver
 	// may not hop to a parked retry deadline while any fetch in this round
 	// is still runnable but not yet on the wire. Workers release on exit;
-	// backoff sleeps inside SearchContext go through SleepHeld.
+	// backoff sleeps inside SearchContext go through SleepHeld. The
+	// dispatch loop holds too, until every worker is launched: otherwise an
+	// early worker that fails fast and parks its backoff can drop the
+	// holds to zero mid-loop, and the driver hops to the retry deadline
+	// before the later workers' first attempts go out.
 	holder := simclock.HolderOf(c.clock)
 	fetchCtx := simclock.WithHeld(ctx, holder)
+	if holder != nil {
+		holder.Hold()
+	}
 	for _, v := range vans {
 		for _, role := range []storage.Role{storage.Treatment, storage.Control} {
 			b := v.treatment
@@ -636,6 +638,9 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 				results <- fetchResult{obs: obs, retries: b.Retries() - retriesBefore}
 			}(v, role, b, trace)
 		}
+	}
+	if holder != nil {
+		holder.Release()
 	}
 	wg.Wait()
 	close(results)
@@ -736,6 +741,9 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 		var wg sync.WaitGroup
 		holder := simclock.HolderOf(c.clock)
 		fetchCtx := simclock.WithHeld(context.Background(), holder)
+		if holder != nil {
+			holder.Hold() // until every vantage is launched, as in sweepTerm
+		}
 		for i, b := range browsers {
 			wg.Add(1)
 			if holder != nil {
@@ -756,6 +764,9 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 				}
 				pages[i], errs[i] = p, err
 			}(i, b)
+		}
+		if holder != nil {
+			holder.Release()
 		}
 		wg.Wait()
 		for i, err := range errs {

@@ -90,12 +90,12 @@ func TestStandalonePhaseAlsoFeedsSink(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	sink := &collectSink{}
 	rig.cr.Sink = sink
-	// Drive RunPhase (not RunCampaign) under the manual clock: the
+	// Drive RunPhaseContext (not RunCampaign) under the manual clock: the
 	// standalone path must lay out its own single-phase progress plan.
 	var err error
 	stop := make(chan struct{})
 	go func() {
-		_, err = rig.cr.RunPhase(smallPhase(1, geo.County, 1))
+		_, err = rig.cr.RunPhaseContext(context.Background(), smallPhase(1, geo.County, 1))
 		close(stop)
 	}()
 	rig.clk.DriveUntil(stop)

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -140,16 +139,9 @@ func TestGranularityStrings(t *testing.T) {
 		if g.Short() != want[1] {
 			t.Fatalf("Short(%d) = %q, want %q", g, g.Short(), want[1])
 		}
-		back, err := ParseGranularity(g.Short())
-		if err != nil || back != g {
-			t.Fatalf("ParseGranularity(%q) = %v, %v", g.Short(), back, err)
-		}
 	}
 	if Granularity(99).String() == "" || Granularity(99).Short() == "" {
 		t.Fatal("unknown granularity has empty labels")
-	}
-	if _, err := ParseGranularity("galaxy"); err == nil {
-		t.Fatal("ParseGranularity accepted junk")
 	}
 }
 
@@ -228,41 +220,5 @@ func TestMeanPairwiseDistanceDegenerate(t *testing.T) {
 	}
 	if got := d.MeanPairwiseDistanceKm(County); got != 0 {
 		t.Fatalf("single-location mean distance = %v, want 0", got)
-	}
-}
-
-func TestGeoJSONExport(t *testing.T) {
-	b, err := StudyDataset().GeoJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var coll struct {
-		Type     string `json:"type"`
-		Features []struct {
-			Type     string `json:"type"`
-			Geometry struct {
-				Type        string     `json:"type"`
-				Coordinates [2]float64 `json:"coordinates"`
-			} `json:"geometry"`
-			Properties map[string]any `json:"properties"`
-		} `json:"features"`
-	}
-	if err := json.Unmarshal(b, &coll); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if coll.Type != "FeatureCollection" || len(coll.Features) != 59 {
-		t.Fatalf("collection = %s with %d features", coll.Type, len(coll.Features))
-	}
-	f := coll.Features[0]
-	if f.Geometry.Type != "Point" {
-		t.Fatalf("geometry = %s", f.Geometry.Type)
-	}
-	// GeoJSON is lon,lat — make sure we did not swap them: all study
-	// longitudes are negative (western hemisphere).
-	if f.Geometry.Coordinates[0] >= 0 || f.Geometry.Coordinates[1] <= 0 {
-		t.Fatalf("coordinates look swapped: %v", f.Geometry.Coordinates)
-	}
-	if f.Properties["id"] == "" || f.Properties["granularity"] == "" {
-		t.Fatalf("properties = %v", f.Properties)
 	}
 }

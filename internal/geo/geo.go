@@ -132,36 +132,6 @@ func Centroid(pts []Point) Point {
 	return Point{Lat: rad2deg(lat), Lon: rad2deg(lon)}
 }
 
-// BoundingBox is an axis-aligned lat/lon rectangle.
-type BoundingBox struct {
-	MinLat, MaxLat float64
-	MinLon, MaxLon float64
-}
-
-// Bounds returns the bounding box of pts. ok is false for an empty input.
-func Bounds(pts []Point) (bb BoundingBox, ok bool) {
-	if len(pts) == 0 {
-		return BoundingBox{}, false
-	}
-	bb = BoundingBox{
-		MinLat: pts[0].Lat, MaxLat: pts[0].Lat,
-		MinLon: pts[0].Lon, MaxLon: pts[0].Lon,
-	}
-	for _, p := range pts[1:] {
-		bb.MinLat = math.Min(bb.MinLat, p.Lat)
-		bb.MaxLat = math.Max(bb.MaxLat, p.Lat)
-		bb.MinLon = math.Min(bb.MinLon, p.Lon)
-		bb.MaxLon = math.Max(bb.MaxLon, p.Lon)
-	}
-	return bb, true
-}
-
-// Contains reports whether p lies within the box (inclusive).
-func (bb BoundingBox) Contains(p Point) bool {
-	return p.Lat >= bb.MinLat && p.Lat <= bb.MaxLat &&
-		p.Lon >= bb.MinLon && p.Lon <= bb.MaxLon
-}
-
 // ParsePoint parses the "lat,lon" wire format produced by Point.String.
 func ParsePoint(s string) (Point, error) {
 	var p Point

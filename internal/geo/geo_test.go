@@ -146,22 +146,6 @@ func TestCentroid(t *testing.T) {
 	approx(t, c.Lat, 0, 1e-9, "symmetric centroid lat")
 }
 
-func TestBounds(t *testing.T) {
-	if _, ok := Bounds(nil); ok {
-		t.Fatal("Bounds(nil) ok")
-	}
-	bb, ok := Bounds([]Point{{1, 2}, {-3, 7}, {5, -4}})
-	if !ok {
-		t.Fatal("Bounds not ok")
-	}
-	if bb.MinLat != -3 || bb.MaxLat != 5 || bb.MinLon != -4 || bb.MaxLon != 7 {
-		t.Fatalf("Bounds = %+v", bb)
-	}
-	if !bb.Contains(Point{0, 0}) || bb.Contains(Point{10, 0}) {
-		t.Fatal("Contains incorrect")
-	}
-}
-
 func TestPointStringParseRoundTrip(t *testing.T) {
 	p := Point{41.499321, -81.694412}
 	got, err := ParsePoint(p.String())

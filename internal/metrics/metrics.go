@@ -97,18 +97,6 @@ func ComparePages(a, b *serp.Page) Comparison {
 	}
 }
 
-// CompareByType compares only the links contributed by cards of type t —
-// the paper's method for attributing differences to Maps or News results:
-// "we simply calculate Jaccard and edit distance between pages after
-// filtering out all search results that are not of type t".
-func CompareByType(a, b *serp.Page, t serp.CardType) Comparison {
-	la, lb := a.LinksOfType(t), b.LinksOfType(t)
-	return Comparison{
-		Jaccard:      Jaccard(la, lb),
-		EditDistance: EditDistance(la, lb),
-	}
-}
-
 // TypeBreakdown decomposes the edit distance between two pages into the
 // shares attributable to Maps, News, and all other results. Other is
 // computed from the links of organic cards; the three components do not
@@ -122,7 +110,10 @@ type TypeBreakdown struct {
 	Other int
 }
 
-// BreakdownPages computes the per-type edit-distance decomposition.
+// BreakdownPages computes the per-type edit-distance decomposition — the
+// paper's method for attributing differences to Maps or News results: "we
+// simply calculate Jaccard and edit distance between pages after filtering
+// out all search results that are not of type t".
 func BreakdownPages(a, b *serp.Page) TypeBreakdown {
 	return TypeBreakdown{
 		All:   EditDistance(a.Links(), b.Links()),

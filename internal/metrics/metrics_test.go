@@ -144,12 +144,6 @@ func TestComparePages(t *testing.T) {
 func TestCompareByTypeAndBreakdown(t *testing.T) {
 	a := page(organic("1"), meta(serp.Maps, "m1", "m2"), meta(serp.News, "n1"), organic("2"))
 	b := page(organic("1"), meta(serp.Maps, "m3", "m4"), meta(serp.News, "n1"), organic("3"))
-	if cmp := CompareByType(a, b, serp.Maps); cmp.EditDistance != 2 || cmp.Jaccard != 0 {
-		t.Fatalf("maps cmp = %+v", cmp)
-	}
-	if cmp := CompareByType(a, b, serp.News); cmp.EditDistance != 0 || cmp.Jaccard != 1 {
-		t.Fatalf("news cmp = %+v", cmp)
-	}
 	bd := BreakdownPages(a, b)
 	if bd.Maps != 2 || bd.News != 0 || bd.Other != 1 {
 		t.Fatalf("breakdown = %+v", bd)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/engine"
 	"geoserp/internal/httpheader"
 	"geoserp/internal/index"
@@ -43,7 +44,6 @@ type ClientConfig struct {
 	// matters (it must match the ring the corpus was partitioned with);
 	// every replica of one shard serves the identical document slice, so
 	// which replica answers never changes a byte of the merged page.
-	// SingleReplica wraps a flat one-URL-per-shard list.
 	Shards [][]string
 	// Timeout bounds one replica request on the wall clock. <= 0 means no
 	// per-request timeout (the propagated X-Deadline-Ms still applies at
@@ -78,16 +78,6 @@ type ClientConfig struct {
 	Transport http.RoundTripper
 }
 
-// SingleReplica wraps a flat shard URL list — one replica per shard — in
-// the ReplicaSet shape ClientConfig.Shards takes.
-func SingleReplica(urls []string) [][]string {
-	out := make([][]string, len(urls))
-	for i, u := range urls {
-		out[i] = []string{u}
-	}
-	return out
-}
-
 // Client fans one retrieval out to every shard concurrently, merges the
 // per-shard top-k rankings with the same comparator the index itself uses
 // (score descending, URL ascending — URLs are unique across the disjoint
@@ -102,8 +92,12 @@ func SingleReplica(urls []string) [][]string {
 // when EVERY replica of its shard fails; only when no shard contributes
 // at all does Retrieve return engine.ErrRetrievalUnavailable (503).
 type Client struct {
-	cfg      ClientConfig
-	breakers [][]*breaker // [shard][replica]; nil entries when disabled
+	cfg ClientConfig
+	// breakers holds one circuit breaker per shard replica, so a dead
+	// node is skipped outright — its leg fails over to the next replica —
+	// instead of every query paying a timeout for it. [shard][replica];
+	// nil entries when disabled.
+	breakers [][]*breaker.Breaker
 
 	retrievals  *telemetry.Counter    // router_retrievals_total
 	partial     *telemetry.Counter    // router_partial_results_total
@@ -160,14 +154,13 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 		transitions: reg.CounterVec("router_breaker_transitions_total",
 			"Replica breaker state transitions, by event.", "event"),
 	}
-	c.breakers = make([][]*breaker, len(cfg.Shards))
+	c.breakers = make([][]*breaker.Breaker, len(cfg.Shards))
 	for i, reps := range cfg.Shards {
-		c.breakers[i] = make([]*breaker, len(reps))
+		c.breakers[i] = make([]*breaker.Breaker, len(reps))
 		for r := range reps {
 			if cfg.BreakerThreshold > 0 {
-				br := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-				br.onTransition = func(label string) { c.transitions.With(label).Inc() }
-				c.breakers[i][r] = br
+				c.breakers[i][r] = breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown,
+					func(label string) { c.transitions.With(label).Inc() })
 			}
 		}
 	}
@@ -188,7 +181,7 @@ func (c *Client) BreakerStates() [][]string {
 			if br == nil {
 				out[i][r] = "disabled"
 			} else {
-				out[i][r] = br.stateName()
+				out[i][r] = br.State()
 			}
 		}
 	}
@@ -353,7 +346,7 @@ func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.R
 		return attemptResult{outcome: outcomeOK, hits: sr.Hits}
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// Admission shed: the replica is alive and asked for patience.
-		// Pushback must not trip the breaker — see breaker.pushback.
+		// Pushback must not trip the breaker — see breaker.Breaker.Pushback.
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return attemptResult{outcome: outcomeShed}
 	default:

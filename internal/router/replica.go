@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/detrand"
 	"geoserp/internal/engine"
 	"geoserp/internal/index"
@@ -54,7 +55,7 @@ type attemptResult struct {
 type attempt struct {
 	replica int
 	hedge   bool
-	br      *breaker
+	br      *breaker.Breaker
 	span    *telemetry.Span
 	start   time.Time
 	cancel  context.CancelFunc
@@ -81,13 +82,15 @@ func (c *Client) callShard(shard int, req engine.RetrieveRequest, legSpan *telem
 			r := (start + next) % n
 			next++
 			br := c.breakers[shard][r]
-			if br != nil && !br.allow(c.cfg.Clock.Now()) {
-				sp := startAttemptSpan(legSpan, r, hedge)
-				sp.SetAttr("outcome", outcomeBreakerOpen)
-				out.attempts = append(out.attempts, replicaAttempt{
-					replica: r, hedge: hedge, outcome: outcomeBreakerOpen, span: sp,
-				})
-				continue
+			if br != nil {
+				if _, ok := br.Allow(c.cfg.Clock.Now()); !ok {
+					sp := startAttemptSpan(legSpan, r, hedge)
+					sp.SetAttr("outcome", outcomeBreakerOpen)
+					out.attempts = append(out.attempts, replicaAttempt{
+						replica: r, hedge: hedge, outcome: outcomeBreakerOpen, span: sp,
+					})
+					continue
+				}
 			}
 			return c.startAttempt(shard, r, br, req, legSpan, hedge)
 		}
@@ -150,7 +153,7 @@ func startAttemptSpan(legSpan *telemetry.Span, replica int, hedge bool) *telemet
 
 // startAttempt launches one replica request in its own goroutine and
 // returns the controller's handle to it.
-func (c *Client) startAttempt(shard, replica int, br *breaker, req engine.RetrieveRequest, legSpan *telemetry.Span, hedge bool) *attempt {
+func (c *Client) startAttempt(shard, replica int, br *breaker.Breaker, req engine.RetrieveRequest, legSpan *telemetry.Span, hedge bool) *attempt {
 	sp := startAttemptSpan(legSpan, replica, hedge)
 	ctx, cancel := context.WithCancel(context.Background())
 	a := &attempt{
@@ -265,16 +268,16 @@ func (c *Client) settle(a *attempt, res attemptResult, out *shardOutcome) {
 	switch res.outcome {
 	case outcomeOK:
 		if a.br != nil {
-			a.br.success()
+			a.br.Success()
 		}
 		a.span.SetAttr("hits", strconv.Itoa(len(res.hits)))
 	case outcomeShed:
 		if a.br != nil {
-			a.br.pushback()
+			a.br.Pushback()
 		}
 	default:
 		if a.br != nil {
-			a.br.failure(c.cfg.Clock.Now())
+			a.br.Failure(c.cfg.Clock.Now())
 		}
 	}
 	a.span.SetAttr("outcome", res.outcome)
@@ -299,7 +302,7 @@ func (c *Client) settle(a *attempt, res attemptResult, out *shardOutcome) {
 // but a half-open probe slot it may hold must be released.
 func (c *Client) settleCanceled(a *attempt, out *shardOutcome) {
 	if a.br != nil {
-		a.br.pushback()
+		a.br.Pushback()
 	}
 	a.span.SetAttr("outcome", outcomeCanceled)
 	out.attempts = append(out.attempts, replicaAttempt{
@@ -396,7 +399,7 @@ func (c *Client) probeSweep() {
 	httpc := &http.Client{Transport: c.cfg.Transport, Timeout: c.cfg.Timeout}
 	for i, reps := range c.breakers {
 		for r, br := range reps {
-			if br == nil || !br.probeDue(now) {
+			if br == nil || !br.ProbeDue(now) {
 				continue
 			}
 			resp, err := httpc.Get(c.cfg.Shards[i][r] + "/healthz")
@@ -410,7 +413,7 @@ func (c *Client) probeSweep() {
 				continue
 			}
 			c.probes.With(outcomeOK).Inc()
-			if br.probeClose() {
+			if br.ProbeClose() {
 				c.readmits.Inc()
 			}
 		}

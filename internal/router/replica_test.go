@@ -344,17 +344,17 @@ func TestProberReadmitsRecoveredReplica(t *testing.T) {
 	}
 }
 
-// TestBreakerProbeElection pins the half-open race satellite: when many
-// concurrent fan-outs hit an open breaker whose cooldown has elapsed,
+// TestBreakerProbeElection pins the half-open race: when many concurrent
+// fan-outs hit a replica's open breaker whose cooldown has elapsed,
 // exactly ONE is elected to carry the probe — run under -race this also
 // proves the state machine's locking. A failed probe re-arms the
 // election for the next cooldown; a successful one re-opens the floor to
 // everyone.
 func TestBreakerProbeElection(t *testing.T) {
-	br := newBreaker(1, 45*time.Second)
-	br.failure(epoch)
-	if br.stateName() != "open" {
-		t.Fatalf("state = %q, want open", br.stateName())
+	br, _ := replicaBreaker(1, 45*time.Second)
+	br.Failure(epoch)
+	if br.State() != "open" {
+		t.Fatalf("state = %q, want open", br.State())
 	}
 
 	elect := func(now time.Time) int {
@@ -367,7 +367,7 @@ func TestBreakerProbeElection(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if br.allow(now) {
+				if _, ok := br.Allow(now); ok {
 					admitted.Add(1)
 				}
 			}()
@@ -383,7 +383,7 @@ func TestBreakerProbeElection(t *testing.T) {
 	}
 	// The elected probe fails: the breaker re-opens and a fresh election
 	// happens only after another full cooldown.
-	br.failure(probeAt)
+	br.Failure(probeAt)
 	if n := elect(probeAt.Add(44 * time.Second)); n != 0 {
 		t.Fatalf("%d fan-outs admitted before the reopen cooldown elapsed, want 0", n)
 	}
@@ -394,14 +394,14 @@ func TestBreakerProbeElection(t *testing.T) {
 	// While that probe is outstanding the out-of-band prober must not
 	// interfere: the breaker is half-open, so it is neither due nor
 	// force-closable.
-	if br.probeDue(reprobeAt.Add(time.Hour)) {
-		t.Fatal("half-open breaker reported probeDue — the search-path probe owns the slot")
+	if br.ProbeDue(reprobeAt.Add(time.Hour)) {
+		t.Fatal("half-open breaker reported ProbeDue — the search-path probe owns the slot")
 	}
-	if br.probeClose() {
-		t.Fatal("probeClose closed a half-open breaker over the in-flight probe's head")
+	if br.ProbeClose() {
+		t.Fatal("ProbeClose closed a half-open breaker over the in-flight probe's head")
 	}
 	// The probe succeeds: closed, everyone admitted again.
-	br.success()
+	br.Success()
 	if n := elect(reprobeAt); n != 32 {
 		t.Fatalf("%d fan-outs admitted through the closed breaker, want all 32", n)
 	}

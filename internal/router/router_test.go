@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -8,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/engine"
 	"geoserp/internal/httpheader"
 	"geoserp/internal/serpserver"
 	"geoserp/internal/simclock"
+	"geoserp/internal/telemetry"
 )
 
 var epoch = time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -73,75 +76,88 @@ func TestRingMinimalMovementOnGrowth(t *testing.T) {
 	}
 }
 
+// replicaBreaker returns the breaker a client built with the given policy
+// keeps for its only replica, and the client's transition counter.
+func replicaBreaker(threshold int, cooldown time.Duration) (*breaker.Breaker, *telemetry.CounterVec) {
+	c := NewClient(ClientConfig{
+		Shards:           [][]string{{"http://replica.invalid"}},
+		BreakerThreshold: threshold,
+		BreakerCooldown:  cooldown,
+	}, telemetry.NewRegistry())
+	return c.breakers[0][0], c.transitions
+}
+
 func TestBreakerLifecycle(t *testing.T) {
-	var events []string
-	br := newBreaker(3, 45*time.Second)
-	br.onTransition = func(l string) { events = append(events, l) }
+	br, transitions := replicaBreaker(3, 45*time.Second)
+	allow := func(now time.Time) bool {
+		_, ok := br.Allow(now)
+		return ok
+	}
 	now := epoch
 
 	// Failures below the threshold keep it closed; a success resets.
-	br.failure(now)
-	br.failure(now)
-	br.success()
-	br.failure(now)
-	br.failure(now)
-	if !br.allow(now) {
+	br.Failure(now)
+	br.Failure(now)
+	br.Success()
+	br.Failure(now)
+	br.Failure(now)
+	if !allow(now) {
 		t.Fatal("breaker tripped below threshold")
 	}
 	// Third consecutive failure trips it. The trip is deferred to the next
 	// clock instant: siblings sharing the tripping request's instant are
 	// still admitted (interleaving-independent), later instants fail fast.
-	br.failure(now)
-	if !br.allow(now) {
+	br.Failure(now)
+	if !allow(now) {
 		t.Fatal("breaker denied a request sharing the trip instant")
 	}
-	if br.allow(now.Add(time.Millisecond)) {
+	if allow(now.Add(time.Millisecond)) {
 		t.Fatal("open breaker admitted a request after the trip instant")
 	}
-	if br.stateName() != "open" {
-		t.Fatalf("state = %q, want open", br.stateName())
+	if br.State() != "open" {
+		t.Fatalf("state = %q, want open", br.State())
 	}
 
 	// After the cooldown exactly one probe goes through.
 	later := now.Add(45 * time.Second)
-	if !br.allow(later) {
+	if !allow(later) {
 		t.Fatal("cooldown elapsed but no probe admitted")
 	}
-	if br.allow(later) {
+	if allow(later) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// Failed probe reopens for another full cooldown.
-	br.failure(later)
-	if br.allow(later.Add(44 * time.Second)) {
+	br.Failure(later)
+	if allow(later.Add(44 * time.Second)) {
 		t.Fatal("reopened breaker admitted before cooldown")
 	}
 	probeAt := later.Add(45 * time.Second)
-	if !br.allow(probeAt) {
+	if !allow(probeAt) {
 		t.Fatal("no probe after reopen cooldown")
 	}
 	// Pushback resolves the probe slot without closing or reopening.
-	br.pushback()
-	if br.stateName() != "half-open" {
-		t.Fatalf("state after pushback = %q, want half-open", br.stateName())
+	br.Pushback()
+	if br.State() != "half-open" {
+		t.Fatalf("state after pushback = %q, want half-open", br.State())
 	}
-	if !br.allow(probeAt) {
+	if !allow(probeAt) {
 		t.Fatal("pushback did not free the probe slot")
 	}
-	br.success()
-	if br.stateName() != "closed" {
-		t.Fatalf("state after successful probe = %q, want closed", br.stateName())
+	br.Success()
+	if br.State() != "closed" {
+		t.Fatalf("state after successful probe = %q, want closed", br.State())
 	}
 
-	want := []string{"open", "half_open", "reopen", "half_open", "close"}
-	if strings.Join(events, ",") != strings.Join(want, ",") {
-		t.Fatalf("transitions = %v, want %v", events, want)
+	want := map[string]uint64{"open": 1, "half_open": 2, "reopen": 1, "close": 1}
+	if got := transitions.Values(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("transitions = %v, want %v", got, want)
 	}
 	// Pushback while closed must not count toward the failure streak.
-	br.failure(probeAt)
-	br.failure(probeAt)
-	br.pushback()
-	br.failure(probeAt)
-	if br.stateName() != "open" {
+	br.Failure(probeAt)
+	br.Failure(probeAt)
+	br.Pushback()
+	br.Failure(probeAt)
+	if br.State() != "open" {
 		t.Fatal("three failures with interleaved pushback did not trip")
 	}
 }

@@ -56,7 +56,7 @@ func ShardNodeName(shard, replica int) string {
 
 // ShardHandler is one shard node's HTTP surface: GET /shard/search over a
 // document-partitioned shard view of the inverted index (see index.Shard),
-// plus the standard /healthz, /metricsz, and /tracez operability
+// plus the standard /healthz, /metricsz, /tracez, and /spanz operability
 // endpoints. It carries no personalization state — shards rank with global
 // IDF and return raw TF-IDF candidates; everything location- or
 // session-dependent happens at the router.
@@ -130,12 +130,7 @@ func NewShardHandler(id int, idx *index.Index, opts ...ShardOption) *ShardHandle
 	h.duration = h.tel.Histogram("shard_search_duration_seconds", "Wall-clock shard retrieval time.", nil)
 	h.mux.HandleFunc("GET "+SearchPath, h.handleSearch)
 	h.mux.HandleFunc("GET /healthz", h.handleHealth)
-	h.mux.Handle("GET /metricsz", h.tel.MetricsHandler())
-	if h.spans != nil {
-		h.mux.Handle("GET /tracez", telemetry.TracezHandler(h.spans))
-		h.mux.Handle("GET "+telemetry.SpanzPath,
-			telemetry.SpanzHandler(h.spans, ShardNodeName(h.id, h.replica)))
-	}
+	telemetry.MountDebug(h.mux, h.tel, h.spans, ShardNodeName(h.id, h.replica))
 	return h
 }
 

@@ -136,11 +136,7 @@ func NewHandler(eng *engine.Engine, opts ...HandlerOption) *Handler {
 	h.mux.HandleFunc("GET /search", h.handleSearch)
 	h.mux.HandleFunc("GET /healthz", h.handleHealth)
 	h.mux.HandleFunc("GET /statz", h.handleStats)
-	h.mux.Handle("GET /metricsz", h.tel.MetricsHandler())
-	if h.spans != nil {
-		h.mux.Handle("GET /tracez", telemetry.TracezHandler(h.spans))
-		h.mux.Handle("GET "+telemetry.SpanzPath, telemetry.SpanzHandler(h.spans, h.node))
-	}
+	telemetry.MountDebug(h.mux, h.tel, h.spans, h.node)
 	return h
 }
 

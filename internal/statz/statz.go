@@ -55,16 +55,6 @@ type Snapshot struct {
 // Option configures a Recorder.
 type Option func(*Recorder)
 
-// WithRingCapacity bounds the per-sweep snapshot ring. Older snapshots
-// are evicted first. The default keeps 256 sweeps.
-func WithRingCapacity(n int) Option {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.ringCap = n
-		}
-	}
-}
-
 // WithProgress attaches a campaign progress source — typically
 // (*crawler.Crawler).ProgressState — embedded in every snapshot.
 func WithProgress(fn func() crawler.ProgressSnapshot) Option {
@@ -81,7 +71,7 @@ const maxErrors = 16
 type Recorder struct {
 	stream   *analysis.Stream
 	progress func() crawler.ProgressSnapshot
-	ringCap  int
+	ringCap  int // sweeps kept in the snapshot ring, oldest evicted first
 
 	mu     sync.Mutex
 	ring   []ringEntry
@@ -249,16 +239,12 @@ func (r *Recorder) Handler(clock func() time.Time) http.Handler {
 }
 
 // Mux assembles the live audit surface: /statz from the recorder, plus
-// /metricsz and /tracez when a registry or span recorder is attached.
+// /metricsz when a registry is attached and /tracez and /spanz (node
+// "crawler") when a span recorder is.
 func Mux(rec *Recorder, clock func() time.Time, reg *telemetry.Registry, spans *telemetry.SpanRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("GET /statz", rec.Handler(clock))
-	if reg != nil {
-		mux.Handle("GET /metricsz", reg.MetricsHandler())
-	}
-	if spans != nil {
-		mux.Handle("GET /tracez", telemetry.TracezHandler(spans))
-	}
+	telemetry.MountDebug(mux, reg, spans, "crawler")
 	return mux
 }
 

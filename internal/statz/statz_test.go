@@ -113,7 +113,8 @@ func TestRecorderRingAndLatest(t *testing.T) {
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	rec := NewRecorder(analysis.NewStream(), WithRingCapacity(2))
+	rec := NewRecorder(analysis.NewStream())
+	rec.ringCap = 2
 	feedSweeps(t, rec, "Coffee", "Dentist", "Library", "Pizza")
 	if oldest, newest := rec.RingBounds(); oldest != 3 || newest != 4 {
 		t.Fatalf("ring bounds = %d-%d, want 3-4 after eviction", oldest, newest)

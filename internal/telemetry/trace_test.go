@@ -3,9 +3,13 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"testing"
+
+	"geoserp/internal/simclock"
 )
 
 func TestMintTraceIDDeterministic(t *testing.T) {
@@ -69,12 +73,49 @@ func TestTraceContext(t *testing.T) {
 }
 
 func TestPprofMuxServes(t *testing.T) {
-	w := httptest.NewRecorder()
-	PprofMux().ServeHTTP(w, httptest.NewRequest("GET", "/debug/pprof/", nil))
-	if w.Code != 200 {
-		t.Fatalf("pprof index status = %d", w.Code)
+	srv, addr, err := ServePprof("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.Body.Len() == 0 {
+	defer srv.Close()
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("pprof index status = %d", resp.StatusCode)
+	}
+	if len(body) == 0 {
 		t.Fatal("pprof index empty")
+	}
+	if _, _, err := ServePprof(addr); err == nil {
+		t.Fatal("second listener bound an address already in use")
+	}
+}
+
+func TestMountDebug(t *testing.T) {
+	get := func(mux *http.ServeMux, path string) int {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w.Code
+	}
+	bare := http.NewServeMux()
+	MountDebug(bare, nil, nil, "n")
+	for _, path := range []string{"/metricsz", "/tracez", SpanzPath} {
+		if code := get(bare, path); code != http.StatusNotFound {
+			t.Fatalf("%s without a registry or spans = %d, want 404", path, code)
+		}
+	}
+	full := http.NewServeMux()
+	MountDebug(full, NewRegistry(), NewSpanRecorder(8, simclock.NewManual(testEpoch)), "n")
+	for _, path := range []string{"/metricsz", "/tracez", SpanzPath} {
+		if code := get(full, path); code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, code)
+		}
 	}
 }

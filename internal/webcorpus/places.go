@@ -305,9 +305,3 @@ func (p *Places) cellBusinesses(c cell, kind PlaceKind) []Business {
 	}
 	return out
 }
-
-// CountNear returns the number of establishments of kindKey within radiusKm
-// of pt; cheaper than Near when only the count matters.
-func (p *Places) CountNear(pt geo.Point, kindKey string, radiusKm float64) int {
-	return len(p.Near(pt, kindKey, radiusKm))
-}

@@ -92,10 +92,12 @@ bench-json:
 # intentional perf change, regenerate the baseline with `make bench-json`
 # and commit the diff. 1000x keeps one-time setup well amortized (at 100x
 # the RunParallel benchmarks over-report allocs/op) while staying much
-# quicker than the baseline's 1s-per-benchmark run.
+# quicker than the baseline's 1s-per-benchmark run. At 1000x the root
+# package's figure and ablation benchmarks run 11-14 minutes on a 2-vCPU
+# host, past go test's 10-minute default, hence the explicit -timeout.
 CHECK_BENCHTIME ?= 1000x
 bench-check:
-	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' ./... 2>&1 | tee bench_check_output.txt
+	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -timeout 60m -run='^$$' ./... 2>&1 | tee bench_check_output.txt
 	go run ./cmd/benchjson -in bench_check_output.txt -check BENCH_core.json
 
 repro:

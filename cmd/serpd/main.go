@@ -111,7 +111,7 @@ func main() {
 				"url", srv.URL(), "seed", opts.Seed,
 				"shard", opts.ShardID, "of", opts.ShardCount, "docs", sh.Docs())
 			logger.Info("endpoints ready",
-				"try", srv.URL()+"/shard/search?q=Coffee&k=5",
+				"try", srv.URL()+"/healthz",
 				"metrics", srv.URL()+"/metricsz")
 		}
 	} else {

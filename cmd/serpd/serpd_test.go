@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"geoserp/internal/router"
 	"geoserp/internal/serp"
 	"geoserp/internal/telemetry"
 )
@@ -186,8 +187,15 @@ func TestBuildShardServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard search status = %d: %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), "\"shard\":1") {
-		t.Fatalf("shard response missing shard id: %s", body)
+	sr, err := router.DecodeShardResponse(body, router.BuildWeb(7, nil))
+	if err != nil {
+		t.Fatalf("shard response does not decode: %v", err)
+	}
+	if sr.Shard != 1 || sr.Shards != 3 {
+		t.Fatalf("shard response from shard %d of %d, want shard 1 of 3", sr.Shard, sr.Shards)
+	}
+	if len(sr.Hits) == 0 || len(sr.Hits) > 5 {
+		t.Fatalf("shard returned %d hits for k=5", len(sr.Hits))
 	}
 
 	resp, err = http.Get(srv.URL() + "/healthz")

@@ -13,10 +13,13 @@
 //	    [-max-inflight 0] [-queue-depth 0] [-admission-service-time 1s]
 //	    [-verbose] [-log-format text|json] [-pprof-addr 127.0.0.1:6060]
 //
-// Every node of one cluster — router and shards — must share -seed, and
-// the shards their serpd -virtual-nodes when overridden: the shards
-// regenerate the identical deterministic corpus from it, and the router's
-// engine personalizes over the same world.
+// Every node of one cluster — router and shards — must share -seed and
+// -corpus, and the shards their serpd -virtual-nodes when overridden: the
+// shards regenerate the identical deterministic corpus from it, answer
+// with bare doc ordinals, and the router resolves them in its own copy of
+// the same world. Each shard reply carries the shard's corpus fingerprint
+// and shard count; a reply that disagrees with the router's is refused as
+// a replica fault (router_corpus_mismatch_total) and the leg fails over.
 //
 // Degradation is graded: with -replicas R > 1 each shard leg fails over
 // deterministically across its replica set (and optionally hedges

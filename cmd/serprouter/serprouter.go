@@ -21,7 +21,8 @@ type options struct {
 	// Shards is the comma-separated list of shard base URLs, in shard-ID
 	// order ("http://127.0.0.1:9001,http://127.0.0.1:9002"). The order
 	// must match the -shard-id assignment the shard serpd processes were
-	// started with, and every node must share -seed. With -replicas R > 1
+	// started with, and every node must share -seed and -corpus (a shard
+	// whose corpus fingerprint differs is refused). With -replicas R > 1
 	// the list holds R consecutive URLs per shard, replicas adjacent in
 	// replica-ID order (s0r0,s0r1,s1r0,s1r1,…).
 	Shards string

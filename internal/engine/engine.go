@@ -467,6 +467,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	ret, retErr := e.retriever.Retrieve(RetrieveRequest{
 		Query:    req.Query,
 		K:        48,
+		Web:      e.web,
 		TraceID:  req.TraceID,
 		Deadline: req.Deadline,
 		Span:     retrieveSpan,

@@ -6,6 +6,7 @@ import (
 
 	"geoserp/internal/index"
 	"geoserp/internal/telemetry"
+	"geoserp/internal/webcorpus"
 )
 
 // ErrRetrievalUnavailable is returned when the engine's web-vertical
@@ -22,6 +23,10 @@ type RetrieveRequest struct {
 	Query string
 	// K bounds how many hits the engine wants back.
 	K int
+	// Web is the coordinator's static web. A remote backend whose shards
+	// answer with doc ordinals resolves them in Web.All(); the local
+	// index holds its own table and ignores it.
+	Web *webcorpus.Web
 	// TraceID is the request's X-Trace-Id ("" = untraced); remote
 	// backends propagate it so shard spans join the request's timeline.
 	TraceID string

@@ -65,6 +65,10 @@ type Hit struct {
 	Doc webcorpus.Doc
 	// Score is the TF-IDF relevance (higher is better).
 	Score float64
+	// Ord is the document's ordinal: its position in the order documents
+	// were added, which for BuildFromWeb is its ordinal in the Web's doc
+	// table (webcorpus.Web.All).
+	Ord uint32
 }
 
 // Index is an in-memory inverted index. Add all documents first, then call
@@ -85,11 +89,14 @@ type Index struct {
 	// ownedDocs is the number of documents a shard view actually serves
 	// (its partition size); unused in a full index.
 	ownedDocs int
+	// shardID and shardCount name a shard view's partition (0 of 1 for a
+	// full index).
+	shardID, shardCount int
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{postings: make(map[string][]posting)}
+	return &Index{postings: make(map[string][]posting), shardCount: 1}
 }
 
 // fieldWeights control how strongly each document field counts.
@@ -107,9 +114,12 @@ func (ix *Index) Add(d webcorpus.Doc) {
 	if ix.frozen {
 		panic("index: Add after Freeze")
 	}
-	id := int32(len(ix.docs))
 	ix.docs = append(ix.docs, d)
+	ix.addPostings(int32(len(ix.docs)-1), d)
+}
 
+// addPostings indexes document id's tokens. Callers hold the write lock.
+func (ix *Index) addPostings(id int32, d webcorpus.Doc) {
 	weights := make(map[string]float64)
 	for _, t := range Tokenize(d.Title) {
 		weights[t] += titleWeight
@@ -138,13 +148,6 @@ func (ix *Index) Add(d webcorpus.Doc) {
 		norm += w * w
 	}
 	ix.docNorm = append(ix.docNorm, math.Sqrt(norm))
-}
-
-// AddAll indexes a batch of documents.
-func (ix *Index) AddAll(docs []webcorpus.Doc) {
-	for _, d := range docs {
-		ix.Add(d)
-	}
 }
 
 // Freeze finalizes the index for concurrent searching.
@@ -218,6 +221,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 		hits = append(hits, Hit{
 			Doc:   ix.docs[id],
 			Score: (s / norm) * (0.5 + 0.5*coverage) * coverage,
+			Ord:   uint32(id),
 		})
 	}
 	return MergeHits(hits, k)
@@ -262,28 +266,49 @@ func (ix *Index) docFreq(t string, plistLen int) int {
 	return plistLen
 }
 
-// Shard returns a document-partitioned view of a frozen index: posting
-// lists keep only the documents the owns predicate claims, while the IDF
-// denominators and per-document norms remain those of the FULL index.
+// Docs returns the document table in ordinal order (Hit.Ord indexes it).
+// A shard view shares its parent's full table. The slice must not be
+// mutated.
+func (ix *Index) Docs() []webcorpus.Doc {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.docs
+}
+
+// Partition returns which partition of how many this index serves: the
+// arguments a shard view was cut with, 0 and 1 for a full index.
+func (ix *Index) Partition() (id, count int) {
+	return ix.shardID, ix.shardCount
+}
+
+// Shard returns document-partitioned view id of count of a frozen index:
+// posting lists keep only the documents the owns predicate claims, while
+// the IDF denominators and per-document norms remain those of the FULL
+// index.
 // Scores computed by different shards of the same corpus are therefore
 // globally comparable, and the union of every shard's Search results
 // reproduces the unsharded ranking bit for bit — the property the SERP
 // cluster's scatter-gather merge relies on for byte-identical pages at
 // any shard count. The view shares the parent's document table; it panics
 // if the index is not frozen.
-func (ix *Index) Shard(owns func(d webcorpus.Doc) bool) *Index {
+func (ix *Index) Shard(id, count int, owns func(d webcorpus.Doc) bool) *Index {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if !ix.frozen {
 		panic("index: Shard before Freeze")
 	}
+	if id < 0 || id >= count {
+		panic("index: shard ID out of range")
+	}
 	shard := &Index{
-		frozen:   true,
-		docs:     ix.docs,
-		docNorm:  ix.docNorm,
-		postings: make(map[string][]posting),
-		df:       make(map[string]int, len(ix.postings)),
-		nDocs:    ix.numDocs(),
+		frozen:     true,
+		docs:       ix.docs,
+		docNorm:    ix.docNorm,
+		postings:   make(map[string][]posting),
+		df:         make(map[string]int, len(ix.postings)),
+		nDocs:      ix.numDocs(),
+		shardID:    id,
+		shardCount: count,
 	}
 	// Which docs the shard owns is decided once per document, not per
 	// posting, so a retained document keeps its full token profile (its
@@ -331,11 +356,15 @@ func MergeHits(hits []Hit, k int) []Hit {
 	return hits
 }
 
-// BuildFromWeb constructs and freezes an index over every document in w.
+// BuildFromWeb constructs and freezes an index over every document in w,
+// in w's ordinal order, so every Hit.Ord is the document's ordinal in
+// w.All(). The index shares w's doc table instead of copying it.
 func BuildFromWeb(w *webcorpus.Web) *Index {
 	ix := New()
-	for _, topic := range w.Topics() {
-		ix.AddAll(w.Docs(topic))
+	docs := w.All()
+	ix.docs = docs[:len(docs):len(docs)]
+	for id, d := range ix.docs {
+		ix.addPostings(int32(id), d)
 	}
 	ix.Freeze()
 	return ix

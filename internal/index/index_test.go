@@ -232,6 +232,35 @@ func TestBuildFromWebCoversCorpus(t *testing.T) {
 	}
 }
 
+// TestBuildFromWebOrdinals: every hit's Ord is the document's ordinal in
+// the Web's table, on the full index and on a shard view — the mapping the
+// cluster's ordinal wire relies on.
+func TestBuildFromWebOrdinals(t *testing.T) {
+	w := webcorpus.NewWeb(1, queries.StudyCorpus(), webcorpus.DefaultRegions())
+	ix := BuildFromWeb(w)
+	shard := ix.Shard(1, 3, func(d webcorpus.Doc) bool { return len(d.URL)%3 == 1 })
+	if id, n := shard.Partition(); id != 1 || n != 3 {
+		t.Fatalf("shard partition = %d of %d, want 1 of 3", id, n)
+	}
+	if id, n := ix.Partition(); id != 0 || n != 1 {
+		t.Fatalf("full index partition = %d of %d, want 0 of 1", id, n)
+	}
+	all := w.All()
+	for _, view := range []*Index{ix, shard} {
+		for _, q := range []string{"Coffee", "Barack Obama", "gun control"} {
+			hits := view.Search(q, 48)
+			if len(hits) == 0 {
+				t.Fatalf("%q: no hits", q)
+			}
+			for _, h := range hits {
+				if all[h.Ord] != h.Doc {
+					t.Fatalf("%q: hit %s carries ordinal %d, which is %s", q, h.Doc.URL, h.Ord, all[h.Ord].URL)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildFromWebTopicalPrecision(t *testing.T) {
 	w := webcorpus.NewWeb(1, queries.StudyCorpus(), webcorpus.DefaultRegions())
 	ix := BuildFromWeb(w)

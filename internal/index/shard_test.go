@@ -21,7 +21,7 @@ func shardBy(ix *Index, n int) []*Index {
 	shards := make([]*Index, n)
 	for i := range shards {
 		i := i
-		shards[i] = ix.Shard(func(d webcorpus.Doc) bool {
+		shards[i] = ix.Shard(i, n, func(d webcorpus.Doc) bool {
 			return int(detrand.Hash("shardtest", d.URL)%uint64(n)) == i
 		})
 	}
@@ -87,7 +87,7 @@ func TestShardHonoursCoverageFilter(t *testing.T) {
 	ix.Add(doc("https://hs/", "Lincoln High School", "A public high school.", "high-school"))
 	ix.Add(doc("https://x/", "Tower Guide", "A very high tower.", "tower"))
 	ix.Freeze()
-	all := ix.Shard(func(webcorpus.Doc) bool { return true })
+	all := ix.Shard(0, 1, func(webcorpus.Doc) bool { return true })
 	want := ix.Search("high school", 10)
 	hits := all.Search("high school", 10)
 	if len(hits) != len(want) {
@@ -104,7 +104,7 @@ func TestShardHonoursCoverageFilter(t *testing.T) {
 	if hits[0].Doc.URL != "https://hs/" {
 		t.Fatalf("shard top hit = %s, want https://hs/", hits[0].Doc.URL)
 	}
-	none := ix.Shard(func(webcorpus.Doc) bool { return false })
+	none := ix.Shard(0, 1, func(webcorpus.Doc) bool { return false })
 	if hits := none.Search("high school", 10); hits != nil {
 		t.Fatalf("empty shard returned hits: %+v", hits)
 	}
@@ -118,5 +118,5 @@ func TestShardRequiresFreeze(t *testing.T) {
 			t.Fatal("Shard before Freeze did not panic")
 		}
 	}()
-	New().Shard(func(webcorpus.Doc) bool { return true })
+	New().Shard(0, 1, func(webcorpus.Doc) bool { return true })
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // BenchmarkRouterMerge measures the full scatter-gather retrieval: fan-out
-// to three in-process shards, HTTP round-trip and JSON decode per shard,
-// and the deterministic merge of the per-shard rankings. This is the
+// to three in-process shards, HTTP round-trip and binary decode per shard
+// (doc ordinals resolved in the router's corpus), and the deterministic
+// merge of the per-shard rankings. This is the
 // router's per-query overhead versus a monolithic in-process index lookup.
 func BenchmarkRouterMerge(b *testing.B) {
 	cl := NewLocalCluster(ClusterConfig{
@@ -18,7 +19,7 @@ func BenchmarkRouterMerge(b *testing.B) {
 		Engine: testConfig(1),
 		Clock:  simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)),
 	})
-	req := engine.RetrieveRequest{Query: "coffee", K: 48}
+	req := engine.RetrieveRequest{Query: "coffee", K: 48, Web: cl.Web}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

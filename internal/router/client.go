@@ -2,7 +2,7 @@ package router
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -109,6 +109,9 @@ type Client struct {
 	probes      *telemetry.CounterVec // router_replica_probes_total{outcome}
 	readmits    *telemetry.Counter    // router_replica_readmissions_total
 	transitions *telemetry.CounterVec // router_breaker_transitions_total{event}
+	// corpusMismatch counts replies refused because the node indexes
+	// another corpus or another partition: router_corpus_mismatch_total.
+	corpusMismatch *telemetry.Counter
 }
 
 // NewClient builds a scatter-gather client over cfg.Shards, registering
@@ -153,6 +156,8 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 			"Open replica breakers re-closed by a successful health probe."),
 		transitions: reg.CounterVec("router_breaker_transitions_total",
 			"Replica breaker state transitions, by event.", "event"),
+		corpusMismatch: reg.Counter("router_corpus_mismatch_total",
+			"Replica replies refused because the node's corpus fingerprint or shard count differs from the router's."),
 	}
 	c.breakers = make([][]*breaker.Breaker, len(cfg.Shards))
 	for i, reps := range cfg.Shards {
@@ -213,6 +218,9 @@ type shardOutcome struct {
 // Retrieve implements engine.Retriever: concurrent fan-out, deterministic
 // merge, graded degradation.
 func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, error) {
+	if req.Web == nil {
+		return engine.RetrieveResult{}, errors.New("router: retrieve request has no corpus to resolve shard ordinals in")
+	}
 	c.retrievals.Inc()
 	n := len(c.cfg.Shards)
 	outcomes := make([]shardOutcome, n)
@@ -251,7 +259,11 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 		spans[i].End()
 	}
 
-	var merged []index.Hit
+	total := 0
+	for i := range outcomes {
+		total += len(outcomes[i].hits)
+	}
+	merged := make([]index.Hit, 0, total)
 	ok := 0
 	for i := range outcomes {
 		o := &outcomes[i]
@@ -331,9 +343,18 @@ func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.R
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var sr ShardResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&sr); derr != nil {
+		sr, derr := readShardResponse(resp.Body, req.Web)
+		if derr != nil {
+			if errors.Is(derr, errCorpusMismatch) {
+				c.corpusMismatch.Inc()
+			}
 			return attemptResult{outcome: outcomeError, detail: "decode: " + derr.Error()}
+		}
+		if sr.Shards != len(c.cfg.Shards) {
+			// A node partitioned for another cluster size owns another
+			// document slice: merging it would drop or duplicate documents.
+			c.corpusMismatch.Inc()
+			return attemptResult{outcome: outcomeError, detail: "misrouted: shard of a " + strconv.Itoa(sr.Shards) + "-shard cluster"}
 		}
 		if sr.Shard != shard {
 			// A reply from the wrong shard means the topology is

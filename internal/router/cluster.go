@@ -89,6 +89,10 @@ type LocalCluster struct {
 	Engine *engine.Engine
 	// Client is the scatter-gather retriever the engine uses.
 	Client *Client
+	// Web is the corpus the shards were built from, identical to the
+	// coordinator engine's; a caller driving Client.Retrieve directly
+	// passes it as engine.RetrieveRequest.Web.
+	Web *webcorpus.Web
 	// Registry is the router-side telemetry registry (engine + HTTP +
 	// scatter-gather metrics).
 	Registry *telemetry.Registry
@@ -122,11 +126,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 	// coordinator engine generates, then carve per-shard views off it.
 	// (Real shard processes each rebuild the world from the seed instead —
 	// same corpus, no shared memory; see cmd/serpd's shard mode.)
-	regions := make([]webcorpus.Region, 0)
-	for _, ri := range engine.StudyRegions() {
-		regions = append(regions, ri.Region)
-	}
-	web := webcorpus.NewWeb(cfg.Engine.Seed, queries.StudyCorpus(), regions)
+	web := BuildWeb(cfg.Engine.Seed, nil)
 	full := index.BuildFromWeb(web)
 	ring := NewRing(cfg.Shards, cfg.VirtualNodes)
 	replicas := cfg.Replicas
@@ -143,7 +143,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 		// One frozen view per shard, shared by its replicas — exactly what
 		// a real deployment gets from every replica regenerating the
 		// identical world from the seed.
-		view := full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == i })
+		view := full.Shard(i, cfg.Shards, func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == i })
 		handlers[i] = make([]*ShardHandler, replicas)
 		chains[i] = make([]http.Handler, replicas)
 		urls[i] = make([]string, replicas)
@@ -211,6 +211,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 		Handler:       handler,
 		Engine:        eng,
 		Client:        client,
+		Web:           web,
 		Registry:      reg,
 		Spans:         spans,
 		ShardHandlers: handlers,
@@ -232,17 +233,24 @@ func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount, v
 	if shardID < 0 || shardID >= shardCount {
 		panic("router: shard ID out of range")
 	}
+	full := index.BuildFromWeb(BuildWeb(seed, corpus))
+	ring := NewRing(shardCount, virtualNodes)
+	return full.Shard(shardID, shardCount, func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == shardID })
+}
+
+// BuildWeb regenerates the static web every node of a cluster derives from
+// the seed and the query corpus (nil selects the study corpus), over the
+// study regions — the world engine.NewCustom builds for the coordinator.
+func BuildWeb(seed uint64, corpus *queries.Corpus) *webcorpus.Web {
 	if corpus == nil {
 		corpus = queries.StudyCorpus()
 	}
-	regions := make([]webcorpus.Region, 0)
-	for _, ri := range engine.StudyRegions() {
-		regions = append(regions, ri.Region)
+	ris := engine.StudyRegions()
+	regions := make([]webcorpus.Region, len(ris))
+	for i, ri := range ris {
+		regions[i] = ri.Region
 	}
-	web := webcorpus.NewWeb(seed, corpus, regions)
-	full := index.BuildFromWeb(web)
-	ring := NewRing(shardCount, virtualNodes)
-	return full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == shardID })
+	return webcorpus.NewWeb(seed, corpus, regions)
 }
 
 // memTransport dispatches shard requests to in-process handlers by host

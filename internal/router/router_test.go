@@ -333,15 +333,29 @@ func TestShardHandlerSurface(t *testing.T) {
 	cl := NewLocalCluster(ClusterConfig{Shards: 2, Engine: testConfig(7), Clock: clock})
 	sh := cl.ShardHandlers[0][0]
 
-	// A normal search returns JSON hits from this shard only.
-	r := httptest.NewRequest(http.MethodGet, SearchPath+"?q=pizza&k=5", nil)
+	// A normal search returns binary hits from this shard only.
+	r := httptest.NewRequest(http.MethodGet, SearchPath+"?q=coffee&k=5", nil)
 	w := httptest.NewRecorder()
 	sh.ServeHTTP(w, r)
 	if w.Code != http.StatusOK {
 		t.Fatalf("shard search: status %d: %s", w.Code, w.Body.String())
 	}
-	if !strings.Contains(w.Body.String(), "\"shard\":0") {
-		t.Fatalf("shard response missing shard id: %s", w.Body.String())
+	sr, err := DecodeShardResponse(w.Body.Bytes(), cl.Web)
+	if err != nil {
+		t.Fatalf("shard response does not decode: %v", err)
+	}
+	if sr.Shard != 0 || sr.Shards != 2 || sr.Replica != 0 {
+		t.Fatalf("shard response header = shard %d of %d, replica %d; want shard 0 of 2, replica 0",
+			sr.Shard, sr.Shards, sr.Replica)
+	}
+	if len(sr.Hits) == 0 || len(sr.Hits) > 5 {
+		t.Fatalf("shard returned %d hits for k=5", len(sr.Hits))
+	}
+	ring := NewRing(2, 0)
+	for _, h := range sr.Hits {
+		if owner := ring.Owner(h.Doc.URL); owner != 0 {
+			t.Fatalf("shard 0 returned %s, owned by shard %d", h.Doc.URL, owner)
+		}
 	}
 
 	// An already-expired propagated deadline is refused as a shed.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"geoserp/internal/index"
 	"geoserp/internal/simclock"
 	"geoserp/internal/telemetry"
+	"geoserp/internal/webcorpus"
 )
 
 // SearchPath is the shard retrieval endpoint. The admission gate in
@@ -25,23 +27,6 @@ const defaultShardK = 48
 // maxShardK caps how many hits one shard response will carry, whatever the
 // client asked for.
 const maxShardK = 512
-
-// ShardResponse is the wire format of one shard's answer. Scores are
-// float64s serialized by encoding/json, which emits the shortest decimal
-// that round-trips — so the router decodes bit-identical scores and the
-// merged ranking equals the monolith's exactly.
-type ShardResponse struct {
-	// Shard echoes the answering shard's ID (mismatch = misrouted query).
-	Shard int `json:"shard"`
-	// Replica echoes the answering node's replica ID within the shard's
-	// ReplicaSet (mismatch = misrouted query). Every replica serves the
-	// identical document slice, so this is a topology check, not a data
-	// property.
-	Replica int `json:"replica"`
-	// Hits is the shard's top-k, already in merge order (score descending,
-	// URL ascending).
-	Hits []index.Hit `json:"hits"`
-}
 
 // ShardNodeName is the canonical node name for replica r of shard s, used
 // for span lanes, spanz exports, and the in-process cluster's host names.
@@ -68,6 +53,11 @@ type ShardHandler struct {
 	tel     *telemetry.Registry
 	spans   *telemetry.SpanRecorder
 	clock   simclock.Clock
+
+	// shards and fingerprint stamp every response: the partition's shard
+	// count and webcorpus.Fingerprint of the doc table its ordinals index.
+	shards      int
+	fingerprint uint64
 
 	// retryAfter, when set (SetRetryAfter), supplies the backlog-derived
 	// Retry-After hint for deadline sheds.
@@ -112,9 +102,22 @@ func WithShardReplica(r int) ShardOption {
 }
 
 // NewShardHandler builds a shard node serving the given (already frozen)
-// shard index view as shard id.
+// shard index view as shard id. The view must be partition id (see
+// index.Index.Shard); its shard count and doc-table fingerprint are stamped
+// on every response.
 func NewShardHandler(id int, idx *index.Index, opts ...ShardOption) *ShardHandler {
-	h := &ShardHandler{id: id, idx: idx, mux: http.NewServeMux(), wall: simclock.Wall()}
+	part, shards := idx.Partition()
+	if part != id {
+		panic("router: shard " + strconv.Itoa(id) + " given partition " + strconv.Itoa(part))
+	}
+	h := &ShardHandler{
+		id:          id,
+		idx:         idx,
+		shards:      shards,
+		fingerprint: webcorpus.Fingerprint(idx.Docs()),
+		mux:         http.NewServeMux(),
+		wall:        simclock.Wall(),
+	}
 	for _, o := range opts {
 		o(h)
 	}
@@ -224,11 +227,15 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	h.hits.Add(uint64(len(res)))
 	sp.SetAttr("hits", strconv.Itoa(len(res)))
 
-	w.Header().Set("Content-Type", "application/json")
+	body := AppendShardResponse(make([]byte, 0, wireHeaderLen+len(res)*wireRecordLen), ShardResponse{
+		Fingerprint: h.fingerprint, Shard: h.id, Shards: h.shards, Replica: h.replica, Hits: res,
+	})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if trace := r.Header.Get(httpheader.TraceID); trace != "" {
 		w.Header().Set(httpheader.TraceID, trace)
 	}
-	if err := json.NewEncoder(w).Encode(ShardResponse{Shard: h.id, Replica: h.replica, Hits: res}); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// The client went away mid-write; nothing useful to do.
 		h.errors.With("write").Inc()
 	}
@@ -237,9 +244,11 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (h *ShardHandler) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status":  "ok",
-		"shard":   h.id,
-		"replica": h.replica,
-		"docs":    h.idx.Len(),
+		"status":      "ok",
+		"shard":       h.id,
+		"shards":      h.shards,
+		"replica":     h.replica,
+		"docs":        h.idx.Len(),
+		"fingerprint": fmt.Sprintf("%016x", h.fingerprint),
 	})
 }

@@ -2,8 +2,10 @@ package webcorpus
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"geoserp/internal/detrand"
 	"geoserp/internal/queries"
@@ -24,8 +26,18 @@ type Region struct {
 type Web struct {
 	seed    uint64
 	regions []Region
+	// docs is the ordinal-ordered doc table: topics in sorted order, each
+	// topic's documents by authority descending. index.BuildFromWeb adds
+	// documents in exactly this order, so an index doc ID IS the
+	// document's ordinal here — the key the cluster's shard wire ships
+	// instead of the document itself.
+	docs []Doc
+	// byTopic holds subslices of docs, so no Doc is stored twice.
 	byTopic map[string][]Doc
-	byURL   map[string]Doc
+	byURL   map[string]int32 // URL -> ordinal
+
+	fingerprintOnce sync.Once
+	fingerprint     uint64
 }
 
 // NewWeb generates the static web for the given query corpus and regions.
@@ -34,30 +46,49 @@ func NewWeb(seed uint64, corpus *queries.Corpus, regions []Region) *Web {
 		seed:    seed,
 		regions: regions,
 		byTopic: make(map[string][]Doc),
-		byURL:   make(map[string]Doc),
+		byURL:   make(map[string]int32),
 	}
+	// One topic per query ID; a later query with the same ID replaces an
+	// earlier one.
+	byID := make(map[string]queries.Query, corpus.Len())
 	for _, q := range corpus.All() {
-		var docs []Doc
+		byID[q.ID()] = q
+	}
+	topics := make([]string, 0, len(byID))
+	for id := range byID {
+		topics = append(topics, id)
+	}
+	sort.Strings(topics)
+	ends := make([]int, len(topics))
+	for i, id := range topics {
+		q := byID[id]
+		lo := len(w.docs)
 		switch {
 		case q.Category == queries.Local && q.Brand:
-			docs = w.brandDocs(q)
+			w.docs = w.brandDocs(w.docs, q)
 		case q.Category == queries.Local:
-			docs = w.genericLocalDocs(q)
+			w.docs = w.genericLocalDocs(w.docs, q)
 		case q.Category == queries.Controversial:
-			docs = w.controversialDocs(q)
+			w.docs = w.controversialDocs(w.docs, q)
 		default:
-			docs = w.politicianDocs(q)
+			w.docs = w.politicianDocs(w.docs, q)
 		}
+		docs := w.docs[lo:]
 		sort.Slice(docs, func(i, j int) bool {
 			if docs[i].Authority != docs[j].Authority {
 				return docs[i].Authority > docs[j].Authority
 			}
 			return docs[i].URL < docs[j].URL
 		})
-		w.byTopic[q.ID()] = docs
-		for _, d := range docs {
-			w.byURL[d.URL] = d
-		}
+		ends[i] = len(w.docs)
+	}
+	lo := 0
+	for i, id := range topics {
+		w.byTopic[id] = w.docs[lo:ends[i]:ends[i]]
+		lo = ends[i]
+	}
+	for i := range w.docs {
+		w.byURL[w.docs[i].URL] = int32(i)
 	}
 	return w
 }
@@ -66,10 +97,17 @@ func NewWeb(seed uint64, corpus *queries.Corpus, regions []Region) *Web {
 // sorted by authority descending. The slice must not be mutated.
 func (w *Web) Docs(topic string) []Doc { return w.byTopic[topic] }
 
+// All returns every document in ordinal order: the topics of Topics, each
+// topic's documents as Docs returns them. The slice must not be mutated.
+func (w *Web) All() []Doc { return w.docs }
+
 // ByURL looks a document up by URL.
 func (w *Web) ByURL(url string) (Doc, bool) {
-	d, ok := w.byURL[url]
-	return d, ok
+	i, ok := w.byURL[url]
+	if !ok {
+		return Doc{}, false
+	}
+	return w.docs[i], true
 }
 
 // Topics returns all topics with documents, sorted.
@@ -83,7 +121,52 @@ func (w *Web) Topics() []string {
 }
 
 // Size returns the total number of documents.
-func (w *Web) Size() int { return len(w.byURL) }
+func (w *Web) Size() int { return len(w.docs) }
+
+// Fingerprint returns the Fingerprint of All, computed on first use: only
+// a cluster router needs it, and a monolith should not pay for it at
+// set-up.
+func (w *Web) Fingerprint() uint64 {
+	w.fingerprintOnce.Do(func() { w.fingerprint = Fingerprint(w.docs) })
+	return w.fingerprint
+}
+
+// Fingerprint hashes a doc table in ordinal order: every field of every
+// document (URL, title, snippet, topic, region, kind, and the exact bits
+// of the authority), each string length-prefixed so that moving bytes
+// from one field to the next changes the hash. Two nodes that agree on it
+// agree on what every ordinal means — the check that lets a shard answer
+// with bare ordinals. A different seed or query corpus changes it.
+func Fingerprint(docs []Doc) uint64 {
+	h := fnvWord(fnvOffset, uint64(len(docs)))
+	for i := range docs {
+		d := &docs[i]
+		for _, s := range [...]string{d.URL, d.Title, d.Snippet, d.Topic, d.Region} {
+			h = fnvWord(h, uint64(len(s)))
+			for j := 0; j < len(s); j++ {
+				h = (h ^ uint64(s[j])) * fnvPrime
+			}
+		}
+		h = fnvWord(h, uint64(d.Kind))
+		h = fnvWord(h, math.Float64bits(d.Authority))
+	}
+	return h
+}
+
+// FNV-1a, 64-bit.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord folds the eight little-endian bytes of v into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
 
 // add constructs a Doc with templated snippet text that mentions the topic
 // term (so the inverted index retrieves it for the query's tokens).
@@ -106,9 +189,8 @@ func (w *Web) jitter(parts ...string) float64 {
 	return rng.Range(-0.03, 0.03)
 }
 
-func (w *Web) brandDocs(q queries.Query) []Doc {
+func (w *Web) brandDocs(docs []Doc, q queries.Query) []Doc {
 	id := q.ID()
-	var docs []Doc
 	docs = w.add(docs, q, KindOfficial,
 		fmt.Sprintf("https://www.%s.example/", id),
 		q.Term, "%s — official site. Find menus, offers, and locations.",
@@ -138,9 +220,8 @@ func (w *Web) brandDocs(q queries.Query) []Doc {
 	return docs
 }
 
-func (w *Web) genericLocalDocs(q queries.Query) []Doc {
+func (w *Web) genericLocalDocs(docs []Doc, q queries.Query) []Doc {
 	id := q.ID()
-	var docs []Doc
 	docs = w.add(docs, q, KindEncyclopedia,
 		fmt.Sprintf("https://encyclopedia.example/wiki/%s", id),
 		q.Term+" - Encyclopedia", "%s: definition, history, and practice.",
@@ -176,9 +257,8 @@ func (w *Web) genericLocalDocs(q queries.Query) []Doc {
 	return docs
 }
 
-func (w *Web) controversialDocs(q queries.Query) []Doc {
+func (w *Web) controversialDocs(docs []Doc, q queries.Query) []Doc {
 	id := q.ID()
-	var docs []Doc
 	docs = w.add(docs, q, KindEncyclopedia,
 		fmt.Sprintf("https://encyclopedia.example/wiki/%s", id),
 		q.Term+" - Encyclopedia", "%s: overview, arguments, and history of the debate.",
@@ -234,14 +314,13 @@ func scopeProfile(scope queries.PoliticianScope) (domain string, officialAuth, w
 	}
 }
 
-func (w *Web) politicianDocs(q queries.Query) []Doc {
+func (w *Web) politicianDocs(docs []Doc, q queries.Query) []Doc {
 	id := q.ID()
 	domain, officialAuth, wikiAuth := scopeProfile(q.Scope)
 	homeRegion := "ohio"
 	if q.Scope == queries.ScopeUSCongressOther || q.Scope == queries.ScopeNationalFigure {
 		homeRegion = "" // nationally covered
 	}
-	var docs []Doc
 	docs = w.add(docs, q, KindGov,
 		fmt.Sprintf("https://%s/members/%s", domain, id),
 		q.Term+" — Official Page", "Official page of %s: biography, contact, votes.",

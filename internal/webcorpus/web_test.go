@@ -3,6 +3,7 @@ package webcorpus
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -131,6 +132,63 @@ func TestWebByURL(t *testing.T) {
 	}
 	if _, ok := w.ByURL("https://nope.example/"); ok {
 		t.Fatal("ByURL ok for missing URL")
+	}
+}
+
+// TestWebDocTable: All is the ordinal-ordered table — topics in sorted
+// order, each topic's documents as Docs returns them — and Docs are views
+// of it, not copies.
+func TestWebDocTable(t *testing.T) {
+	w := testWeb(t)
+	all := w.All()
+	if len(all) != w.Size() {
+		t.Fatalf("All has %d docs, Size %d", len(all), w.Size())
+	}
+	ord := 0
+	for _, topic := range w.Topics() {
+		docs := w.Docs(topic)
+		if &docs[0] != &all[ord] {
+			t.Fatalf("topic %s is not the table slice at ordinal %d", topic, ord)
+		}
+		ord += len(docs)
+	}
+	if ord != len(all) {
+		t.Fatalf("topics cover %d of %d ordinals", ord, len(all))
+	}
+}
+
+// TestDocTableFingerprint: the fingerprint is stable for one seed and
+// corpus, and changes with the seed and with any single field.
+func TestDocTableFingerprint(t *testing.T) {
+	a := NewWeb(7, queries.StudyCorpus(), DefaultRegions())
+	if b := NewWeb(7, queries.StudyCorpus(), DefaultRegions()); a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("same seed, different fingerprints")
+	}
+	if a.Fingerprint() != Fingerprint(a.All()) {
+		t.Fatal("Web.Fingerprint differs from Fingerprint(All)")
+	}
+	if c := NewWeb(8, queries.StudyCorpus(), DefaultRegions()); a.Fingerprint() == c.Fingerprint() {
+		t.Fatal("seeds 7 and 8 share a fingerprint")
+	}
+	docs := append([]Doc(nil), a.All()...)
+	base := Fingerprint(docs)
+	edits := []func(d *Doc){
+		func(d *Doc) { d.URL += "x" },
+		func(d *Doc) { d.Title += "x" },
+		func(d *Doc) { d.Snippet += "x" },
+		func(d *Doc) { d.Topic += "x" },
+		func(d *Doc) { d.Region += "x" },
+		func(d *Doc) { d.Kind++ },
+		func(d *Doc) { d.Authority = math.Nextafter(d.Authority, 2) },
+		// Moving a byte between adjacent fields must not collide.
+		func(d *Doc) { d.URL, d.Title = d.URL+d.Title[:1], d.Title[1:] },
+	}
+	for i, edit := range edits {
+		mod := append([]Doc(nil), docs...)
+		edit(&mod[3])
+		if Fingerprint(mod) == base {
+			t.Fatalf("edit %d left the fingerprint unchanged", i)
+		}
 	}
 }
 

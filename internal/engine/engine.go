@@ -129,14 +129,14 @@ type Engine struct {
 	// default, a scatter-gather client over shard nodes in the cluster
 	// router (WithRetriever).
 	retriever Retriever
-	regions   []webcorpus.Region
-	// regionPts maps region slug to its centroid for coarse reverse
-	// geocoding of the query coordinate.
-	regionPts map[string]geo.Point
-	history   *historyStore
-	limiter   *rateLimiter
-	ipgeo     *ipGeolocator
-	dcNames   []string
+	// regions are the world's regions with their centroids, in the order
+	// the world declared them, for coarse reverse geocoding of the query
+	// coordinate.
+	regions []RegionInfo
+	history *historyStore
+	limiter *rateLimiter
+	ipgeo   *ipGeolocator
+	dcNames []string
 	// reqCount drives per-request randomness (bucket draw, jitter); it
 	// stays an engine-internal atomic so observability can never perturb
 	// the noise model.
@@ -289,13 +289,15 @@ func (e *Engine) classify(term string) (queryClass, string) {
 	return classGeneral, id
 }
 
-// region returns the slug of the state region nearest to pt.
+// region returns the slug of the state region nearest to pt. Regions are
+// scanned in declaration order and the first strict minimum wins, so a
+// point equidistant from two centroids always resolves the same way.
 func (e *Engine) region(pt geo.Point) string {
 	best := ""
 	bestD := math.Inf(1)
-	for slugName, c := range e.regionPts {
-		if d := geo.DistanceKm(pt, c); d < bestD {
-			best, bestD = slugName, d
+	for _, ri := range e.regions {
+		if d := geo.DistanceKm(pt, ri.Centroid); d < bestD {
+			best, bestD = ri.Region.Slug, d
 		}
 	}
 	return best

@@ -99,10 +99,8 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 	}
 
 	regions := make([]webcorpus.Region, len(spec.regions))
-	regionPts := make(map[string]geo.Point, len(spec.regions))
 	for i, ri := range spec.regions {
 		regions[i] = ri.Region
-		regionPts[ri.Region.Slug] = ri.Centroid
 	}
 	web := webcorpus.NewWeb(cfg.Seed, spec.corpus, regions)
 
@@ -131,8 +129,7 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 		places:    webcorpus.NewPlacesCustom(cfg.Seed, spec.placeKinds),
 		news:      webcorpus.NewNewsWire(cfg.Seed, regions),
 		retriever: retriever,
-		regions:   regions,
-		regionPts: regionPts,
+		regions:   append([]RegionInfo(nil), spec.regions...),
 		history:   newHistoryStore(cfg.HistoryWindow),
 		limiter:   newRateLimiter(cfg.RateBurst, cfg.RatePerMinute),
 		ipgeo:     newIPGeolocator(cfg.Seed, cfg.IPGeoErrorKm),

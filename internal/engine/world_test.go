@@ -148,3 +148,33 @@ func TestNewPlacesCustomDefaultsAndRepairs(t *testing.T) {
 		t.Fatalf("brand display = %q", got)
 	}
 }
+
+// TestRegionTieIsDeterministic: a point exactly between two centroids
+// must resolve to the same region on every call and in every engine built
+// from the same world — the first-declared region, since regions are
+// scanned in order and only a strictly nearer one replaces the best.
+func TestRegionTieIsDeterministic(t *testing.T) {
+	west := geo.Point{Lat: 40, Lon: -1}
+	east := geo.Point{Lat: 40, Lon: 1}
+	mid := geo.Point{Lat: 40, Lon: 0}
+	if geo.DistanceKm(mid, west) != geo.DistanceKm(mid, east) {
+		t.Fatal("test point is not equidistant from the two centroids")
+	}
+	regions := []RegionInfo{
+		{Region: webcorpus.Region{Slug: "far", Name: "Far"}, Centroid: geo.Point{Lat: 50, Lon: 20}},
+		{Region: webcorpus.Region{Slug: "west", Name: "West"}, Centroid: west},
+		{Region: webcorpus.Region{Slug: "east", Name: "East"}, Centroid: east},
+	}
+	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+	engines := []*Engine{
+		NewCustom(quietConfig(), clk, WithRegions(regions)),
+		NewCustom(quietConfig(), clk, WithRegions(regions)),
+	}
+	for i, e := range engines {
+		for call := 0; call < 100; call++ {
+			if got := e.region(mid); got != "west" {
+				t.Fatalf("engine %d call %d: region(%v) = %q, want the first-declared tied region \"west\"", i, call, mid, got)
+			}
+		}
+	}
+}

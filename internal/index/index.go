@@ -92,6 +92,8 @@ type Index struct {
 	// shardID and shardCount name a shard view's partition (0 of 1 for a
 	// full index).
 	shardID, shardCount int
+	// accums pools Search's scratch accumulators (see accum).
+	accums sync.Pool
 }
 
 // New returns an empty index.
@@ -186,8 +188,8 @@ func (ix *Index) Search(query string, k int) []Hit {
 		return nil
 	}
 	n := float64(ix.numDocs())
-	scores := make(map[int32]float64)
-	matched := make(map[int32]int)
+	acc := ix.getAccum()
+	defer ix.putAccum(acc)
 	for _, t := range qTokens {
 		plist := ix.postings[t]
 		docFreq := ix.docFreq(t, len(plist))
@@ -196,18 +198,22 @@ func (ix *Index) Search(query string, k int) []Hit {
 		}
 		idf := math.Log(1 + n/float64(docFreq))
 		for _, p := range plist {
-			scores[p.docID] += idf * float64(p.weight)
-			matched[p.docID]++
+			if acc.matched[p.docID] == 0 {
+				acc.touched = append(acc.touched, p.docID)
+			}
+			acc.scores[p.docID] += idf * float64(p.weight)
+			acc.matched[p.docID]++
 		}
 	}
-	if len(scores) == 0 {
+	if len(acc.touched) == 0 {
 		return nil
 	}
-	hits := make([]Hit, 0, len(scores))
-	for id, s := range scores {
+	sel := topK[docURLs]{k: k, urls: ix.docs, heap: acc.heap}
+	for _, id := range acc.touched {
 		// Require at least half the query tokens to match; a one-token
 		// graze against a multi-word query is noise, not relevance.
-		if matched[id]*2 < len(qTokens) {
+		matched := int(acc.matched[id])
+		if matched*2 < len(qTokens) {
 			continue
 		}
 		norm := ix.docNorm[id]
@@ -216,15 +222,54 @@ func (ix *Index) Search(query string, k int) []Hit {
 		}
 		// Coverage bonus: documents matching every query token beat
 		// partial matches even when the partial match is term-dense.
-		coverage := float64(matched[id]) / float64(len(qTokens))
-		//lint:allow maporder MergeHits totally orders hits by score then URL before returning
-		hits = append(hits, Hit{
-			Doc:   ix.docs[id],
-			Score: (s / norm) * (0.5 + 0.5*coverage) * coverage,
-			Ord:   uint32(id),
+		coverage := float64(matched) / float64(len(qTokens))
+		sel.offer(ranked{
+			score: (acc.scores[id] / norm) * (0.5 + 0.5*coverage) * coverage,
+			key:   uint32(id),
 		})
 	}
-	return MergeHits(hits, k)
+	won := sel.sorted()
+	acc.heap = won[:0]
+	hits := make([]Hit, len(won))
+	for i, r := range won {
+		hits[i] = Hit{Doc: ix.docs[r.key], Score: r.score, Ord: r.key}
+	}
+	return hits
+}
+
+// accum is one search's scratch space: per-document score sums and
+// matched-token counts indexed by doc ordinal, the ordinals touched (in
+// first-touch order), and the selector's heap. Dense slices cost no
+// hashing or growth per query; they are reset through touched, so a
+// pooled accum is all zeros again when it goes back.
+type accum struct {
+	scores  []float64
+	matched []int32
+	touched []int32
+	heap    []ranked
+}
+
+// getAccum draws a zeroed accum from the index's pool, allocating one
+// sized to the doc table on first use (never at build time, so shard
+// views and indexes that are never searched cost nothing).
+func (ix *Index) getAccum() *accum {
+	if acc, ok := ix.accums.Get().(*accum); ok {
+		return acc
+	}
+	return &accum{
+		scores:  make([]float64, len(ix.docs)),
+		matched: make([]int32, len(ix.docs)),
+	}
+}
+
+// putAccum zeroes the entries acc touched and returns it to the pool.
+func (ix *Index) putAccum(acc *accum) {
+	for _, id := range acc.touched {
+		acc.scores[id] = 0
+		acc.matched[id] = 0
+	}
+	acc.touched = acc.touched[:0]
+	ix.accums.Put(acc)
 }
 
 // distinct removes duplicate tokens, preserving first-occurrence order (so
@@ -337,23 +382,37 @@ func (ix *Index) Shard(id, count int, owns func(d webcorpus.Doc) bool) *Index {
 	return shard
 }
 
-// MergeHits sorts hits with Search's exact ordering — score descending,
-// ties broken by URL ascending — and truncates to k. It is the single
-// merge used by the cluster router to fold per-shard rankings into one
-// list: because shard scores are globally comparable (see Shard), merging
-// the union of per-shard top-k lists reproduces the monolithic index's
-// top k exactly. The input is sorted in place.
+// MergeHits returns the k best hits under Search's exact ordering — score
+// descending, ties broken by URL ascending — best first; a negative k
+// keeps every hit. It runs the same bounded top-k selector as Search, so
+// it costs O(n log k) comparisons over (score, position) pairs rather
+// than a full sort of every Hit. It is the single merge used by the
+// cluster router to fold per-shard rankings into one list: because shard
+// scores are globally comparable (see Shard), merging the union of
+// per-shard top-k lists reproduces the monolithic index's top k exactly.
+// The winners are gathered into the front of hits in place, and the
+// returned slice is hits[:k].
 func MergeHits(hits []Hit, k int) []Hit {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc.URL < hits[j].Doc.URL
-	})
-	if k >= 0 && len(hits) > k {
-		hits = hits[:k]
+	if k < 0 || k > len(hits) {
+		k = len(hits)
 	}
-	return hits
+	sel := topK[hitURLs]{k: k, urls: hits, heap: make([]ranked, 0, k)}
+	for i := range hits {
+		sel.offer(ranked{score: hits[i].Score, key: uint32(i)})
+	}
+	won := sel.sorted()
+	// Gather in place, rank by rank: rank i's winner started at position
+	// won[i].key. A position below i is already final, and the hit that
+	// stood there was swapped out to where that rank's winner was found,
+	// so follow the chain won[j].key until it leaves the finished prefix.
+	for i, r := range won {
+		j := int(r.key)
+		for j < i {
+			j = int(won[j].key)
+		}
+		hits[i], hits[j] = hits[j], hits[i]
+	}
+	return hits[:k]
 }
 
 // BuildFromWeb constructs and freezes an index over every document in w,

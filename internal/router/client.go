@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"geoserp/internal/breaker"
@@ -17,6 +18,7 @@ import (
 	"geoserp/internal/index"
 	"geoserp/internal/simclock"
 	"geoserp/internal/telemetry"
+	"geoserp/internal/webcorpus"
 )
 
 // Per-leg fan-out outcomes, as exposed through
@@ -64,8 +66,9 @@ type ClientConfig struct {
 	// ProbeInterval, when > 0, is the cadence of the background health
 	// prober started by StartProber: each tick probes GET /healthz on
 	// every replica whose breaker has been open past its cooldown, and a
-	// 200 re-closes the breaker — re-admitting a recovered replica even
-	// when no search traffic arrives to half-open probe it.
+	// 200 naming the router's corpus fingerprint and shard count re-closes
+	// the breaker — re-admitting a recovered replica even when no search
+	// traffic arrives to half-open probe it.
 	ProbeInterval time.Duration
 	// Clock supplies the instants driving breaker cooldowns, hedge delays,
 	// and probe ticks — the campaign clock in virtual-time rigs, so
@@ -112,6 +115,11 @@ type Client struct {
 	// corpusMismatch counts replies refused because the node indexes
 	// another corpus or another partition: router_corpus_mismatch_total.
 	corpusMismatch *telemetry.Counter
+	// web is the corpus of the latest Retrieve; the prober re-admits a
+	// replica only if its /healthz fingerprint is this corpus's. A
+	// breaker opens only on a Retrieve attempt, so by the time a replica
+	// is due for a probe web is set.
+	web atomic.Pointer[webcorpus.Web]
 }
 
 // NewClient builds a scatter-gather client over cfg.Shards, registering
@@ -222,6 +230,9 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 		return engine.RetrieveResult{}, errors.New("router: retrieve request has no corpus to resolve shard ordinals in")
 	}
 	c.retrievals.Inc()
+	if c.web.Load() != req.Web {
+		c.web.Store(req.Web)
+	}
 	n := len(c.cfg.Shards)
 	outcomes := make([]shardOutcome, n)
 

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -327,16 +328,18 @@ const probePhase = 500 * time.Millisecond
 // StartProber launches the background health loop when
 // cfg.ProbeInterval > 0: every interval (plus a fixed half-second phase)
 // it sweeps the replica breakers in (shard, replica) order and probes
-// GET /healthz on each one open past its cooldown; a 200 re-closes the
+// GET /healthz on each one open past its cooldown; a 200 whose body names
+// the router's own corpus fingerprint and shard count re-closes the
 // breaker, re-admitting the recovered replica even when no search traffic
-// arrives to half-open probe it. On a Manual campaign clock the loop uses
-// the Holder rehold protocol, so each sweep completes atomically at its
-// virtual instant before the campaign driver advances further — and it
-// parks *passively* (SleepHeldPassive): the prober wakes whenever the
-// campaign's own advancement crosses a tick, but its permanently
-// re-parked sleeper never hands the driver a deadline of its own, which
-// would let virtual time race ahead at wall speed whenever the campaign
-// workers are momentarily between sleeps.
+// arrives to half-open probe it. A replica serving another corpus or
+// partition stays open and counts in router_corpus_mismatch_total. On a
+// Manual campaign clock the loop uses the Holder rehold protocol, so each
+// sweep completes atomically at its virtual instant before the campaign
+// driver advances further — and it parks *passively* (SleepHeldPassive):
+// the prober wakes whenever the campaign's own advancement crosses a
+// tick, but its permanently re-parked sleeper never hands the driver a
+// deadline of its own, which would let virtual time race ahead at wall
+// speed whenever the campaign workers are momentarily between sleeps.
 //
 // The returned stop function is idempotent (a no-op one when probing is
 // disabled). Note a stopped prober parked on a Manual clock only observes
@@ -391,6 +394,30 @@ func (c *Client) probeLoop(stop <-chan struct{}) {
 	}
 }
 
+// healthDoc is the part of a shard node's /healthz body the prober checks.
+type healthDoc struct {
+	Fingerprint string `json:"fingerprint"`
+	Shards      int    `json:"shards"`
+}
+
+// servesOurCorpus decodes a replica's /healthz body and reports whether
+// the node serves this router's partition: its fingerprint is that of the
+// corpus the router retrieves against and its shard count is the
+// router's. ok is false when the body is not a shard health document (or
+// the router has no corpus to compare with yet).
+func (c *Client) servesOurCorpus(body io.Reader) (match, ok bool) {
+	var doc healthDoc
+	if err := json.NewDecoder(io.LimitReader(body, 4096)).Decode(&doc); err != nil {
+		return false, false
+	}
+	fp, err := strconv.ParseUint(doc.Fingerprint, 16, 64)
+	web := c.web.Load()
+	if err != nil || web == nil {
+		return false, false
+	}
+	return fp == web.Fingerprint() && doc.Shards == len(c.cfg.Shards), true
+}
+
 // probeSweep probes every due replica, sequentially and in (shard,
 // replica) order on purpose: probe order — and therefore breaker
 // re-admission order — must not depend on goroutine scheduling.
@@ -404,6 +431,13 @@ func (c *Client) probeSweep() {
 			}
 			resp, err := httpc.Get(c.cfg.Shards[i][r] + "/healthz")
 			healthy := err == nil && resp.StatusCode == http.StatusOK
+			if healthy {
+				match, ok := c.servesOurCorpus(resp.Body)
+				if ok && !match {
+					c.corpusMismatch.Inc()
+				}
+				healthy = ok && match
+			}
 			if resp != nil {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

@@ -255,6 +255,26 @@ func TestHedgedRequestsDeterministic(t *testing.T) {
 	}
 }
 
+// awaitProbeSweep advances the clock across the prober's next tick (the
+// prober parks passively, so only this advancement can wake it) and waits
+// out the sweep it triggers. It waits for the prober to park first —
+// launched asynchronously by NewLocalCluster, it may not have reached its
+// first sleep yet, and an advance before the park would push its whole
+// tick grid past everything the test drives.
+func awaitProbeSweep(t *testing.T, cl *LocalCluster, clock *simclock.Manual, interval time.Duration) {
+	t.Helper()
+	before := cl.Client.probes.Total()
+	clock.WaitForSleepers(1)
+	clock.Advance(interval + probePhase)
+	deadline := time.Now().Add(5 * time.Second)
+	for cl.Client.probes.Total() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("prober never swept after the clock crossed its tick")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestProberReadmitsRecoveredReplica: a replica that dies, trips its
 // breaker, and then heals is re-admitted by the background /healthz
 // prober alone — no search traffic spends a half-open probe on it.
@@ -292,28 +312,9 @@ func TestProberReadmitsRecoveredReplica(t *testing.T) {
 		t.Fatalf("replica 0 breaker = %q after the failed attempt, want open", s)
 	}
 
-	// awaitSweep advances the clock across the prober's next tick (the
-	// prober parks passively, so only this advancement can wake it) and
-	// waits out the sweep it triggers. It waits for the prober to park
-	// first — launched asynchronously by NewLocalCluster, it may not have
-	// reached its first sleep yet, and an advance before the park would
-	// push its whole tick grid past everything this test drives.
-	awaitSweep := func() {
-		before := cl.Client.probes.Total()
-		clock.WaitForSleepers(1)
-		clock.Advance(interval + probePhase)
-		deadline := time.Now().Add(5 * time.Second)
-		for cl.Client.probes.Total() == before {
-			if time.Now().After(deadline) {
-				t.Fatal("prober never swept after the clock crossed its tick")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
 	// While the replica is still dark the probe fails and the breaker
 	// stays open.
-	awaitSweep()
+	awaitProbeSweep(t, cl, clock, interval)
 	if cl.Client.probes.Values()[outcomeError] == 0 {
 		t.Fatalf("probes = %v, want a failed probe against the dark replica", cl.Client.probes.Values())
 	}
@@ -324,7 +325,7 @@ func TestProberReadmitsRecoveredReplica(t *testing.T) {
 	// Heal it; the next sweep re-closes the breaker with no search
 	// traffic at all.
 	fault.down.Store(false)
-	awaitSweep()
+	awaitProbeSweep(t, cl, clock, interval)
 	if s := cl.Client.BreakerStates()[0][0]; s != "closed" {
 		t.Fatalf("replica 0 breaker = %q after probing the healed replica, want closed", s)
 	}
@@ -404,5 +405,56 @@ func TestBreakerProbeElection(t *testing.T) {
 	br.Success()
 	if n := elect(reprobeAt); n != 32 {
 		t.Fatalf("%d fan-outs admitted through the closed breaker, want all 32", n)
+	}
+}
+
+// TestProberRefusesWrongSeedReplica: a replica indexing another seed's
+// corpus answers /healthz with a 200, but its fingerprint is not the
+// router's. After the cooldown the prober must count an error probe and a
+// corpus mismatch, and leave the breaker open — sweep after sweep.
+func TestProberRefusesWrongSeedReplica(t *testing.T) {
+	const interval = time.Minute
+	clock := simclock.NewManual(epoch)
+	cl := NewLocalCluster(ClusterConfig{
+		Shards:           1,
+		Replicas:         2,
+		Engine:           testConfig(7),
+		Clock:            clock,
+		BreakerThreshold: 1,
+		BreakerCooldown:  30 * time.Second,
+		ProbeInterval:    interval,
+		ShardMiddleware:  wrongSeed(1, func(s, r int) bool { return r == 0 }),
+	})
+	defer cl.StopProber()
+
+	trace := ""
+	for i := 0; ; i++ {
+		trace = "probe-trace-" + strconv.Itoa(i)
+		if preferredReplica(trace, 0, 2) == 0 {
+			break
+		}
+	}
+	code, partial, _ := fetch(t, cl.Handler, "pizza", trace, "10.1.2.3")
+	if code != http.StatusOK || partial != "" {
+		t.Fatalf("fetch: code=%d partial=%q, want failover to the right-seed replica", code, partial)
+	}
+	if s := cl.Client.BreakerStates()[0][0]; s != "open" {
+		t.Fatalf("wrong-seed replica breaker = %q after its refused reply, want open", s)
+	}
+	mismatches := cl.Client.corpusMismatch.Value()
+	for sweep := 1; sweep <= 2; sweep++ {
+		awaitProbeSweep(t, cl, clock, interval)
+		if s := cl.Client.BreakerStates()[0][0]; s != "open" {
+			t.Fatalf("sweep %d: wrong-seed replica breaker = %q, want open", sweep, s)
+		}
+		if n := cl.Client.probes.Values()[outcomeError]; n != uint64(sweep) {
+			t.Fatalf("sweep %d: probes = %v, want %d error probes", sweep, cl.Client.probes.Values(), sweep)
+		}
+		if n := cl.Client.corpusMismatch.Value(); n != mismatches+uint64(sweep) {
+			t.Fatalf("sweep %d: corpus mismatches = %d, want %d", sweep, n, mismatches+uint64(sweep))
+		}
+	}
+	if n := cl.Client.readmits.Value(); n != 0 {
+		t.Fatalf("readmissions = %d, want 0", n)
 	}
 }

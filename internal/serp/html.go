@@ -3,6 +3,7 @@ package serp
 import (
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 )
 
@@ -13,50 +14,81 @@ import (
 // (nested divs, classes, a location footer) so the parser has to do actual
 // extraction work rather than reading a convenient JSON blob.
 
+// htmlEscaper escapes exactly the five characters html.EscapeString does,
+// with the same entities, so its output is byte-identical; unlike
+// html.EscapeString it writes straight into the page's builder.
+var htmlEscaper = strings.NewReplacer(
+	`&`, "&amp;",
+	`'`, "&#39;",
+	`<`, "&lt;",
+	`>`, "&gt;",
+	`"`, "&#34;",
+)
+
 // RenderHTML renders the page as a mobile results document.
 func RenderHTML(p *Page) string {
 	var b strings.Builder
 	b.Grow(4096)
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">")
-	fmt.Fprintf(&b, "<title>%s - Search</title>", html.EscapeString(p.Query))
-	b.WriteString("<meta name=\"viewport\" content=\"width=device-width\"></head>\n<body>\n")
-	fmt.Fprintf(&b, "<header class=\"searchbox\"><input value=\"%s\"></header>\n",
-		html.EscapeString(p.Query))
-	b.WriteString("<main id=\"results\">\n")
+	var digits [20]byte
+	esc := func(s string) { htmlEscaper.WriteString(&b, s) }
+	num := func(n int) { b.Write(strconv.AppendInt(digits[:0], int64(n), 10)) }
+	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\"><title>")
+	esc(p.Query)
+	b.WriteString(" - Search</title><meta name=\"viewport\" content=\"width=device-width\"></head>\n<body>\n")
+	b.WriteString("<header class=\"searchbox\"><input value=\"")
+	esc(p.Query)
+	b.WriteString("\"></header>\n<main id=\"results\">\n")
 	for i, c := range p.Cards {
-		fmt.Fprintf(&b, "<div class=\"card\" data-type=\"%s\" data-index=\"%d\">\n", c.Type, i)
+		b.WriteString("<div class=\"card\" data-type=\"")
+		b.WriteString(c.Type.String())
+		b.WriteString("\" data-index=\"")
+		num(i)
+		b.WriteString("\">\n")
 		switch c.Type {
 		case Maps:
 			b.WriteString("  <div class=\"map-frame\"><span class=\"map-pin\">&#9679;</span></div>\n")
 			b.WriteString("  <ul class=\"map-list\">\n")
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "    <li><a class=\"serp-link\" href=\"%s\">%s</a><span class=\"biz-meta\">&#9733;</span></li>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b.WriteString("    <li><a class=\"serp-link\" href=\"")
+				esc(r.URL)
+				b.WriteString("\">")
+				esc(r.Title)
+				b.WriteString("</a><span class=\"biz-meta\">&#9733;</span></li>\n")
 			}
 			b.WriteString("  </ul>\n")
 		case News:
 			b.WriteString("  <h3 class=\"news-header\">In the News</h3>\n")
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <div class=\"news-item\"><a class=\"serp-link\" href=\"%s\">%s</a></div>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b.WriteString("  <div class=\"news-item\"><a class=\"serp-link\" href=\"")
+				esc(r.URL)
+				b.WriteString("\">")
+				esc(r.Title)
+				b.WriteString("</a></div>\n")
 			}
 		default:
 			for j, r := range c.Results {
-				cls := "serp-link"
+				b.WriteString("  <a class=\"serp-link")
 				if j > 0 {
-					cls = "serp-link sublink"
+					b.WriteString(" sublink")
 				}
-				fmt.Fprintf(&b, "  <a class=\"%s\" href=\"%s\">%s</a>\n",
-					cls, html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b.WriteString("\" href=\"")
+				esc(r.URL)
+				b.WriteString("\">")
+				esc(r.Title)
+				b.WriteString("</a>\n")
 			}
 		}
 		b.WriteString("</div><!--/card-->\n")
 	}
-	b.WriteString("</main>\n")
-	fmt.Fprintf(&b, "<footer id=\"geo-footer\" data-location=\"%s\" data-datacenter=\"%s\" data-day=\"%d\">Results for <b>%s</b></footer>\n",
-		html.EscapeString(p.Location), html.EscapeString(p.Datacenter), p.Day,
-		html.EscapeString(p.Location))
-	b.WriteString("</body></html>\n")
+	b.WriteString("</main>\n<footer id=\"geo-footer\" data-location=\"")
+	esc(p.Location)
+	b.WriteString("\" data-datacenter=\"")
+	esc(p.Datacenter)
+	b.WriteString("\" data-day=\"")
+	num(p.Day)
+	b.WriteString("\">Results for <b>")
+	esc(p.Location)
+	b.WriteString("</b></footer>\n</body></html>\n")
 	return b.String()
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -385,10 +386,10 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if desktop {
-		fmt.Fprint(w, serp.RenderDesktopHTML(resp.Page))
+		io.WriteString(w, serp.RenderDesktopHTML(resp.Page))
 		return
 	}
-	fmt.Fprint(w, serp.RenderHTML(resp.Page))
+	io.WriteString(w, serp.RenderHTML(resp.Page))
 }
 
 func (h *Handler) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -2,7 +2,9 @@ package webcorpus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"geoserp/internal/detrand"
 )
@@ -41,17 +43,56 @@ var nationalOutlets = []string{
 type NewsWire struct {
 	seed    uint64
 	regions []Region
+
+	// memo holds Topical's answers per (topic, day), filled lazily. An
+	// answer is a pure function of the seed, so a memoized one is exactly
+	// what a fresh computation would return. Guarded by mu.
+	mu   sync.RWMutex
+	memo map[topicDay][]Article
 }
+
+// topicDay keys NewsWire's memo.
+type topicDay struct {
+	topic string
+	day   int
+}
+
+// topicalMemoCap bounds NewsWire's memo; when it is full the memo starts
+// over, so a long-running server's memory stays flat however many days
+// its clock covers.
+const topicalMemoCap = 4096
 
 // NewNewsWire creates the News vertical with the given root seed.
 func NewNewsWire(seed uint64, regions []Region) *NewsWire {
-	return &NewsWire{seed: seed, regions: regions}
+	return &NewsWire{seed: seed, regions: regions, memo: make(map[topicDay][]Article)}
 }
 
 // Topical returns the articles available for topic on the given simulation
 // day, sorted by freshness descending (ties by URL). Day is 0-based; the
 // window spans the article's publication day and the following two days.
+// Answers are memoized per (topic, day): every caller asking for the same
+// pair shares one slice, which is read-only — callers must copy before
+// modifying it (its capacity equals its length, so append copies).
 func (n *NewsWire) Topical(topic string, day int) []Article {
+	key := topicDay{topic: topic, day: day}
+	n.mu.RLock()
+	arts, ok := n.memo[key]
+	n.mu.RUnlock()
+	if ok {
+		return arts
+	}
+	arts = n.topical(topic, day)
+	n.mu.Lock()
+	if len(n.memo) >= topicalMemoCap {
+		clear(n.memo)
+	}
+	n.memo[key] = arts
+	n.mu.Unlock()
+	return arts
+}
+
+// topical computes Topical's answer.
+func (n *NewsWire) topical(topic string, day int) []Article {
 	var out []Article
 	// Articles published on day d remain in the pool through day d+2
 	// with decaying freshness.
@@ -68,7 +109,7 @@ func (n *NewsWire) Topical(topic string, day int) []Article {
 		}
 		return out[i].URL < out[j].URL
 	})
-	return out
+	return slices.Clip(out)
 }
 
 // publishedOn generates the articles for topic published on day pub, scored

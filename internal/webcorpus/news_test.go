@@ -120,3 +120,40 @@ func TestNewsDistinctTopicsDistinctArticles(t *testing.T) {
 		}
 	}
 }
+
+// TestTopicalMemo: a memoized answer equals a fresh computation, repeat
+// calls share it, its capacity is its length (a caller's append copies
+// instead of writing into the shared array), and the memo stays bounded.
+func TestTopicalMemo(t *testing.T) {
+	n := NewNewsWire(1, DefaultRegions())
+	for _, topic := range []string{"gay-marriage", "health", "abortion"} {
+		for day := 0; day < 6; day++ {
+			first := n.Topical(topic, day)
+			fresh := n.topical(topic, day)
+			again := n.Topical(topic, day)
+			if len(first) != len(fresh) || len(again) != len(fresh) {
+				t.Fatalf("%s day %d: memo %d/%d articles, fresh %d", topic, day, len(first), len(again), len(fresh))
+			}
+			for i := range fresh {
+				if first[i] != fresh[i] || again[i] != fresh[i] {
+					t.Fatalf("%s day %d: article %d differs from a fresh computation", topic, day, i)
+				}
+			}
+			if len(first) > 0 && &first[0] != &again[0] {
+				t.Fatalf("%s day %d: repeat call did not share the memoized slice", topic, day)
+			}
+			if cap(first) != len(first) {
+				t.Fatalf("%s day %d: cap %d > len %d", topic, day, cap(first), len(first))
+			}
+		}
+	}
+	for day := 0; day < topicalMemoCap+10; day++ {
+		n.Topical("health", day)
+	}
+	n.mu.RLock()
+	size := len(n.memo)
+	n.mu.RUnlock()
+	if size > topicalMemoCap {
+		t.Fatalf("memo holds %d entries, cap is %d", size, topicalMemoCap)
+	}
+}

@@ -3,7 +3,9 @@ package webcorpus
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"geoserp/internal/detrand"
@@ -124,20 +126,19 @@ var neighborhoodNames = []string{
 // geometric root of the paper's "personalization grows with distance".
 type Places struct {
 	seed       uint64
-	kinds      map[string]PlaceKind
+	kinds      map[string]*kindCells
 	cellLatDeg float64
 	cellLonDeg float64
-
-	// cache memoizes generated cells: a crawl queries the same vantage
-	// points tens of thousands of times, and generation is deterministic,
-	// so the cache is a pure win. Guarded by mu.
-	mu    sync.RWMutex
-	cache map[cellKindKey][]Business
 }
 
-type cellKindKey struct {
-	c    cell
-	kind string
+// kindCells is one place kind and its memoized cells: a crawl queries the
+// same vantage points tens of thousands of times, and generation is
+// deterministic, so the cache is a pure win. Each kind has its own map,
+// keyed on the packed cell (see cell.key), and its own lock.
+type kindCells struct {
+	kind  PlaceKind
+	mu    sync.RWMutex
+	cells map[uint64][]Business
 }
 
 // NewPlaces creates the Places vertical with the given root seed and the
@@ -153,10 +154,9 @@ func NewPlaces(seed uint64) *Places {
 func NewPlacesCustom(seed uint64, kinds []PlaceKind) *Places {
 	p := &Places{
 		seed:       seed,
-		kinds:      make(map[string]PlaceKind, len(kinds)),
+		kinds:      make(map[string]*kindCells, len(kinds)),
 		cellLatDeg: 0.030,
 		cellLonDeg: 0.038,
-		cache:      make(map[cellKindKey][]Business),
 	}
 	for _, k := range kinds {
 		if k.Key == "" || k.Density <= 0 {
@@ -165,7 +165,7 @@ func NewPlacesCustom(seed uint64, kinds []PlaceKind) *Places {
 		if !k.Brand && len(k.NameSuffixes) == 0 {
 			k.NameSuffixes = []string{TitleCase(k.Key)}
 		}
-		p.kinds[k.Key] = k
+		p.kinds[k.Key] = &kindCells{kind: k, cells: make(map[uint64][]Business)}
 	}
 	return p
 }
@@ -181,7 +181,10 @@ func DefaultPlaceKinds() []PlaceKind {
 // Kind returns the PlaceKind for key, if it exists.
 func (p *Places) Kind(key string) (PlaceKind, bool) {
 	k, ok := p.kinds[key]
-	return k, ok
+	if !ok {
+		return PlaceKind{}, false
+	}
+	return k.kind, true
 }
 
 // Kinds returns all kind keys, sorted.
@@ -197,6 +200,13 @@ func (p *Places) Kinds() []string {
 // cell identifies one grid cell.
 type cell struct{ i, j int }
 
+// key packs the cell into one map key: i in the high 32 bits, j in the
+// low. Cell indices are latitude/0.030 and longitude/0.038, far inside
+// 32 bits for any coordinate on Earth.
+func (c cell) key() uint64 {
+	return uint64(uint32(c.i))<<32 | uint64(uint32(c.j))
+}
+
 // cellOf returns the cell containing pt.
 func (p *Places) cellOf(pt geo.Point) cell {
 	return cell{
@@ -206,9 +216,12 @@ func (p *Places) cellOf(pt geo.Point) cell {
 }
 
 // Near returns every establishment of the given kind within radiusKm of pt,
-// sorted by distance from pt (ties broken by ID for determinism).
+// sorted by distance from pt (ties broken by ID for determinism). Each
+// candidate's distance is computed once, by the same geo.DistanceKm call
+// that filters it, and the sort orders (distance, business) pairs, so the
+// haversine never runs inside the comparator.
 func (p *Places) Near(pt geo.Point, kindKey string, radiusKm float64) []Business {
-	kind, ok := p.kinds[kindKey]
+	kc, ok := p.kinds[kindKey]
 	if !ok || radiusKm <= 0 {
 		return nil
 	}
@@ -223,41 +236,55 @@ func (p *Places) Near(pt geo.Point, kindKey string, radiusKm float64) []Business
 	di := int(math.Ceil(radiusKm/latKmPerCell)) + 1
 	dj := int(math.Ceil(radiusKm/lonKmPerCell)) + 1
 
-	var out []Business
+	type nearby struct {
+		d float64
+		b *Business
+	}
+	var found []nearby
 	for i := center.i - di; i <= center.i+di; i++ {
 		for j := center.j - dj; j <= center.j+dj; j++ {
-			for _, b := range p.cellBusinessesCached(cell{i, j}, kind) {
-				if geo.DistanceKm(pt, b.Point) <= radiusKm {
-					out = append(out, b)
+			bs := p.cellBusinessesCached(cell{i, j}, kc)
+			for k := range bs {
+				if d := geo.DistanceKm(pt, bs[k].Point); d <= radiusKm {
+					found = append(found, nearby{d: d, b: &bs[k]})
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		da := geo.DistanceKm(pt, out[a].Point)
-		db := geo.DistanceKm(pt, out[b].Point)
-		if da != db {
-			return da < db
+	if len(found) == 0 {
+		return nil
+	}
+	slices.SortFunc(found, func(a, b nearby) int {
+		if a.d != b.d {
+			if a.d < b.d {
+				return -1
+			}
+			return 1
 		}
-		return out[a].ID < out[b].ID
+		return strings.Compare(a.b.ID, b.b.ID)
 	})
+	out := make([]Business, len(found))
+	for i, f := range found {
+		out[i] = *f.b
+	}
 	return out
 }
 
-// cellBusinessesCached returns the memoized establishments of one kind in
-// one cell, generating them on first access.
-func (p *Places) cellBusinessesCached(c cell, kind PlaceKind) []Business {
-	key := cellKindKey{c: c, kind: kind.Key}
-	p.mu.RLock()
-	bs, ok := p.cache[key]
-	p.mu.RUnlock()
+// cellBusinessesCached returns the memoized establishments of kc's kind in
+// one cell, generating them on first access. The returned slice is shared
+// and must not be modified.
+func (p *Places) cellBusinessesCached(c cell, kc *kindCells) []Business {
+	key := c.key()
+	kc.mu.RLock()
+	bs, ok := kc.cells[key]
+	kc.mu.RUnlock()
 	if ok {
 		return bs
 	}
-	bs = p.cellBusinesses(c, kind)
-	p.mu.Lock()
-	p.cache[key] = bs
-	p.mu.Unlock()
+	bs = p.cellBusinesses(c, kc.kind)
+	kc.mu.Lock()
+	kc.cells[key] = bs
+	kc.mu.Unlock()
 	return bs
 }
 

@@ -1,8 +1,11 @@
 package webcorpus
 
 import (
+	"math"
+	"sort"
 	"testing"
 
+	"geoserp/internal/detrand"
 	"geoserp/internal/geo"
 )
 
@@ -207,6 +210,68 @@ func TestPlacesUniqueIDs(t *testing.T) {
 				t.Fatalf("duplicate business ID %s", b.ID)
 			}
 			seen[b.ID] = true
+		}
+	}
+}
+
+// nearReference is Near as it was first written: cells generated afresh
+// (no cache) and the haversine recomputed inside the sort comparator. It
+// is the oracle for Near's distance-once sort and packed-key cell cache.
+func nearReference(p *Places, pt geo.Point, kindKey string, radiusKm float64) []Business {
+	kc, ok := p.kinds[kindKey]
+	if !ok || radiusKm <= 0 {
+		return nil
+	}
+	center := p.cellOf(pt)
+	latKmPerCell := p.cellLatDeg * 111.32
+	lonKmPerCell := math.Max(p.cellLonDeg*111.32*math.Cos(pt.Lat*math.Pi/180), 0.5)
+	di := int(math.Ceil(radiusKm/latKmPerCell)) + 1
+	dj := int(math.Ceil(radiusKm/lonKmPerCell)) + 1
+	var out []Business
+	for i := center.i - di; i <= center.i+di; i++ {
+		for j := center.j - dj; j <= center.j+dj; j++ {
+			for _, b := range p.cellBusinesses(cell{i, j}, kc.kind) {
+				if geo.DistanceKm(pt, b.Point) <= radiusKm {
+					out = append(out, b)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		da := geo.DistanceKm(pt, out[a].Point)
+		db := geo.DistanceKm(pt, out[b].Point)
+		if da != db {
+			return da < db
+		}
+		return out[a].ID < out[b].ID
+	})
+	return out
+}
+
+// TestNearMatchesReference compares Near with nearReference over seeded
+// points × every study kind × radii of 10, 20, 40 and 80 km. One Places
+// instance serves every query, so later queries hit cells cached by
+// earlier ones.
+func TestNearMatchesReference(t *testing.T) {
+	p := NewPlaces(3)
+	rng := detrand.New(11)
+	points := []geo.Point{cleveland}
+	for len(points) < 3 {
+		points = append(points, geo.Point{Lat: rng.Range(25, 48), Lon: rng.Range(-124, -70)})
+	}
+	for _, pt := range points {
+		for _, kind := range p.Kinds() {
+			for _, r := range []float64{10, 20, 40, 80} {
+				got, want := p.Near(pt, kind, r), nearReference(p, pt, kind, r)
+				if len(got) != len(want) {
+					t.Fatalf("%v %s %g km: %d businesses, want %d", pt, kind, r, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v %s %g km: rank %d is %s, want %s", pt, kind, r, i, got[i].ID, want[i].ID)
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@
 //	      [-chaos-abort-rate 0] [-chaos-5xx-rate 0] [-chaos-truncate-rate 0]
 //	      [-chaos-latency 0] [-chaos-seed 1]
 //	      [-max-inflight 0] [-queue-depth 0] [-admission-service-time 1s]
-//	      [-shard-count 0] [-shard-id 0] [-shard-replica 0] [-virtual-nodes 0]
+//	      [-shard-count 0] [-shard-id 0] [-shard-replica 0]
 //
 // The -chaos-* flags make /search deliberately unreliable (fault
 // injection) so crawler deployments can rehearse retries, failure budgets,
@@ -27,8 +27,9 @@
 // a cmd/serprouter coordinator to scatter-gather. With -shard-replica R
 // the node additionally identifies as replica R of shard K — replicas
 // serve byte-identical slices, so a router can spread load and fail over
-// between them without changing any page. -virtual-nodes tunes the hash
-// ring's virtual-node count.
+// between them without changing any page. Every node hashes documents
+// onto the ring with router.DefaultVirtualNodes, so nodes of one cluster
+// cannot disagree on the partition.
 // The chaos, admission, and tracez flags apply to the shard endpoint
 // unchanged; engine flags (-datacenters, -rate-burst, ...) are ignored in
 // shard mode.
@@ -84,7 +85,6 @@ func main() {
 	flag.IntVar(&opts.ShardCount, "shard-count", 0, "run as one shard of an N-shard cluster instead of a full engine (0 disables shard mode)")
 	flag.IntVar(&opts.ShardID, "shard-id", 0, "this node's shard ID (0-based, requires -shard-count)")
 	flag.IntVar(&opts.ShardReplica, "shard-replica", 0, "this node's replica ID within its shard's replica set (0-based; replicas serve identical slices)")
-	flag.IntVar(&opts.VirtualNodes, "virtual-nodes", 0, "consistent-hash virtual nodes per shard (0 selects the default; all cluster nodes must agree)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	verbose := flag.Bool("verbose", false, "log every request")
 	wideEvents := flag.Bool("wide-events", false, "emit one wide-event request log line per /search")

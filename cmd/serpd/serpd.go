@@ -55,12 +55,6 @@ type options struct {
 	// this node's spans and /shard/search responses so a coordinator can
 	// verify routing and attribute failover.
 	ShardReplica int
-	// VirtualNodes is the consistent-hash ring's virtual-node count per
-	// shard; every node of one cluster (and its router) must agree on it.
-	// <= 0 selects router.DefaultVirtualNodes. Not to be confused with
-	// ShardReplica: virtual nodes spread one shard around the hash ring,
-	// replicas are extra physical copies of a shard.
-	VirtualNodes int
 }
 
 // buildServer constructs the engine and a bound (not yet serving) server.
@@ -150,7 +144,7 @@ func buildShardServer(opts options) (*serpserver.Server, *router.ShardHandler, e
 		}
 		corpus = c
 	}
-	view := router.BuildShardIndex(seed, corpus, opts.ShardID, opts.ShardCount, opts.VirtualNodes)
+	view := router.BuildShardIndex(seed, corpus, opts.ShardID, opts.ShardCount, 0)
 
 	reg := telemetry.NewRegistry()
 	var spans *telemetry.SpanRecorder

@@ -50,7 +50,7 @@ func TestSoakInvariantsAndDeterminism(t *testing.T) {
 // TestClusterSoakInvariantsAndDeterminism runs the soak against the full
 // replicated topology (router + 3 shards x 2 replicas, replica 0 of every
 // shard dark for a 26-hour window) twice with the same seed: both runs
-// must hold every monolith invariant PLUS the replication invariants (zero
+// must hold every overload-resilience invariant PLUS the replication invariants (zero
 // partial pages — every leg fails over to the surviving replica — breaker
 // trips re-admitted by the background health prober, balanced ledger) and
 // still write byte-identical observations — merge determinism under
@@ -66,7 +66,6 @@ func TestClusterSoakInvariantsAndDeterminism(t *testing.T) {
 	}
 	opts := defaultSoakOptions()
 	opts.Terms = 2
-	opts.ClusterShards = 3
 	opts.TraceCapacity = 1 << 17
 
 	first, err := runSoak(opts)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,10 +45,7 @@ type ChaosTransport struct {
 	cfg  ChaosConfig
 	next http.RoundTripper
 
-	mu       sync.Mutex
-	attempts map[string]int // per-trace attempt counters
-	seq      atomic.Uint64  // fallback key for untraced requests
-
+	attempts httpheader.Attempts
 	injected atomic.Uint64
 }
 
@@ -63,54 +58,18 @@ func NewChaosTransport(cfg ChaosConfig, next http.RoundTripper) *ChaosTransport 
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Wall()
 	}
-	return &ChaosTransport{cfg: cfg, next: next, attempts: make(map[string]int)}
+	return &ChaosTransport{cfg: cfg, next: next}
 }
 
 // Injected reports how many faults have been injected so far.
 func (c *ChaosTransport) Injected() uint64 { return c.injected.Load() }
 
-// maxTrackedTraces bounds the legacy per-trace attempt map: once it holds
-// this many traces it is reset wholesale. The bound only matters for
-// traced clients that do not send X-Trace-Attempt; the browser always
-// does, so campaign-length runs never touch the map at all.
-const maxTrackedTraces = 4096
-
-// attemptKey returns the deterministic draw key for this request: the trace
-// ID plus its attempt number (retries of one trace must be able to draw
-// differently, or a retried fault would repeat forever). The attempt comes
-// from the X-Trace-Attempt header the browser sends with every try — a
-// growth-free, arrival-order-independent key. Traced requests without the
-// header fall back to a bounded counting map, untraced ones to a global
-// sequence number.
-func (c *ChaosTransport) attemptKey(req *http.Request) string {
-	trace := req.Header.Get(httpheader.TraceID)
-	if trace == "" {
-		return fmt.Sprintf("seq-%d", c.seq.Add(1))
-	}
-	if v := req.Header.Get(httpheader.TraceAttempt); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return fmt.Sprintf("%s-%d", trace, n)
-		}
-	}
-	c.mu.Lock()
-	if len(c.attempts) >= maxTrackedTraces {
-		// An unbounded map would grow one entry per trace for the whole
-		// campaign (~140k in a full study run). Resetting restarts attempt
-		// numbering for in-flight traces, which at worst replays a fault —
-		// acceptable for the header-less legacy path.
-		clear(c.attempts)
-	}
-	c.attempts[trace]++
-	n := c.attempts[trace]
-	c.mu.Unlock()
-	return fmt.Sprintf("%s-%d", trace, n)
-}
-
 // RoundTrip injects at most one fault per attempt, drawn in a fixed order
 // (transport error, then 5xx, then truncation) so rates compose
 // predictably.
 func (c *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rng := detrand.NewKeyed(c.cfg.Seed, "chaos", c.attemptKey(req))
+	_, _, key := c.attempts.Next(req.Header)
+	rng := detrand.NewKeyed(c.cfg.Seed, "chaos", key)
 	if c.cfg.Latency > 0 {
 		// A caller holding a virtual clock (see simclock.Holder) must
 		// sleep through SleepHeld, or the driver it is holding off would

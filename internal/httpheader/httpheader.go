@@ -8,7 +8,9 @@
 //
 // Constants are named after the header's suffix (X-Trace-Id -> TraceID)
 // so call sites read as the wire protocol does. Add new headers here,
-// never inline.
+// never inline. Attempts, the attempt numbering both chaos injectors key
+// their fault draws on, lives here too because it is read off these
+// headers.
 package httpheader
 
 const (

@@ -25,13 +25,9 @@ type ClusterConfig struct {
 	Shards int
 	// Replicas is the data replication factor: every shard runs this many
 	// identical replica nodes (<= 0 selects 1), and the router fails a
-	// fan-out leg over between them. Distinct from VirtualNodes, the
-	// ring's hashing knob.
+	// fan-out leg over between them. The ring always places each shard
+	// at DefaultVirtualNodes points.
 	Replicas int
-	// VirtualNodes is the ring's virtual-node count per shard (<= 0
-	// selects DefaultVirtualNodes). Every node in a real deployment must
-	// agree on it.
-	VirtualNodes int
 	// Engine configures the coordinator engine (seed, datacenters,
 	// buckets, ...). The shard indexes are built from the same seed, so
 	// shards and coordinator see the identical deterministic corpus.
@@ -128,7 +124,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 	// same corpus, no shared memory; see cmd/serpd's shard mode.)
 	web := BuildWeb(cfg.Engine.Seed, nil)
 	full := index.BuildFromWeb(web)
-	ring := NewRing(cfg.Shards, cfg.VirtualNodes)
+	ring := NewRing(cfg.Shards, 0)
 	replicas := cfg.Replicas
 	if replicas <= 0 {
 		replicas = 1
@@ -226,7 +222,8 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 // slice without any data distribution: every node regenerates the
 // identical world from the seed and keeps only the documents the ring
 // assigns it. corpus may be nil for the study corpus; virtualNodes <= 0
-// selects DefaultVirtualNodes (every node must agree on both). Replicas
+// selects DefaultVirtualNodes, the ring cmd/serpd and NewLocalCluster
+// always build (every node must agree on both). Replicas
 // of one shard all build the identical view — replication is running this
 // same partition more than once.
 func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount, virtualNodes int) *index.Index {

@@ -3,11 +3,8 @@ package serpserver
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"geoserp/internal/detrand"
@@ -55,9 +52,7 @@ type chaosMiddleware struct {
 	ctr   *telemetry.CounterVec // serpd_chaos_injected_total{kind}
 	spans *telemetry.SpanRecorder
 
-	mu       sync.Mutex
-	attempts map[string]int
-	seq      atomic.Uint64
+	attempts httpheader.Attempts
 }
 
 // chaosNoteKey carries the injected-fault kind to the handler's request
@@ -94,45 +89,8 @@ func NewChaos(cfg ChaosConfig, reg *telemetry.Registry, spans *telemetry.SpanRec
 		next: next,
 		ctr: reg.CounterVec("serpd_chaos_injected_total",
 			"Faults deliberately injected by the chaos middleware, by kind.", "kind"),
-		spans:    spans,
-		attempts: make(map[string]int),
+		spans: spans,
 	}
-}
-
-// maxTrackedTraces bounds the legacy per-trace attempt map: once it holds
-// this many traces it is reset wholesale. The bound only matters for
-// traced clients that omit X-Trace-Attempt; the repo's browser always
-// sends it, so campaign-length runs never grow the map at all.
-const maxTrackedTraces = 4096
-
-// attempt identifies one /search arrival: its trace ID ("" untraced), its
-// 1-based per-trace attempt number (a global sequence number untraced),
-// and the key that feeds the fault draws. The attempt number is read from
-// the X-Trace-Attempt header the browser sends with every try — a
-// growth-free, arrival-order-independent key; header-less traced requests
-// fall back to a bounded counting map.
-func (c *chaosMiddleware) attempt(r *http.Request) (trace string, n int, key string) {
-	trace = r.Header.Get(httpheader.TraceID)
-	if trace == "" {
-		n = int(c.seq.Add(1))
-		return "", n, fmt.Sprintf("seq-%d", n)
-	}
-	if v := r.Header.Get(httpheader.TraceAttempt); v != "" {
-		if an, err := strconv.Atoi(v); err == nil && an > 0 {
-			return trace, an, fmt.Sprintf("%s-%d", trace, an)
-		}
-	}
-	c.mu.Lock()
-	if len(c.attempts) >= maxTrackedTraces {
-		// Resetting restarts attempt numbering for in-flight traces, which
-		// at worst replays a fault — acceptable for the legacy path, and
-		// far better than one map entry per trace for a whole campaign.
-		clear(c.attempts)
-	}
-	c.attempts[trace]++
-	n = c.attempts[trace]
-	c.mu.Unlock()
-	return trace, n, fmt.Sprintf("%s-%d", trace, n)
 }
 
 // chaosSpan records an injected fault that short-circuits the handler.
@@ -150,7 +108,7 @@ func (c *chaosMiddleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.next.ServeHTTP(w, r)
 		return
 	}
-	trace, n, key := c.attempt(r)
+	trace, n, key := c.attempts.Next(r.Header)
 	rng := detrand.NewKeyed(c.cfg.Seed, "serpd-chaos", key)
 	if c.cfg.Latency > 0 {
 		c.cfg.Clock.Sleep(c.cfg.Latency)
